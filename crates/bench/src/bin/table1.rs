@@ -18,7 +18,6 @@ use bench_suite::{print_table, BenchArgs};
 use boresight::exec;
 use boresight::scenario::{run, RunResult, ScenarioConfig};
 use boresight::spec::TrajectorySpec;
-use boresight::SessionGroup;
 use mathx::EulerAngles;
 
 /// Automotive alignment requirement used for the margin column, deg.
@@ -93,49 +92,4 @@ fn main() {
         "\nrequirement assumed: {REQUIREMENT_DEG} deg; margin = requirement / worst-axis error"
     );
     println!("paper claim: errors within requirements, in some cases by an order of magnitude (>=10x), at 3-sigma/99% confidence");
-
-    // --- Table 1b: the same full 5-state IEKF over every arithmetic
-    // substrate (static A scenario), interleaved on one thread through
-    // the SessionGroup sweep. The f64 rows above already ran through
-    // the generic filter; this section shows what the paper's Sabre
-    // (Softfloat) deployment and the proposed Q16.16 conversion do to
-    // the identical algorithm.
-    let (label, truth, seed) = static_cases[0];
-    let mut cfg = ScenarioConfig::static_test(truth);
-    cfg.duration_s = duration;
-    cfg.seed = seed;
-    let table = TrajectorySpec::paper_tilt_table().lower(cfg.duration_s);
-    let mut group = SessionGroup::full_iekf_sweep(&table, &cfg);
-    group.run_interleaved(1.0);
-    let divergence = group.divergence_from(0);
-    let rows: Vec<Vec<String>> = group
-        .sessions()
-        .iter()
-        .zip(&divergence)
-        .map(|(session, div)| {
-            let est = session.estimate().angles.to_degrees();
-            let err = session
-                .estimate()
-                .angles
-                .error_to(&session.truth())
-                .to_degrees();
-            let worst = err.iter().fold(0.0_f64, |m, e| m.max(e.abs()));
-            vec![
-                session.backend_label().to_string(),
-                format!("{:+.3}/{:+.3}/{:+.3}", est[0], est[1], est[2]),
-                format!("{worst:.4}"),
-                format!("{:.4}", div.max_abs_deg),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("Table 1b: full IEKF per arithmetic substrate ({label}, {duration:.0} s)"),
-        &[
-            "substrate",
-            "estimated r/p/y (deg)",
-            "worst error (deg)",
-            "divergence vs f64 (deg)",
-        ],
-        &rows,
-    );
 }

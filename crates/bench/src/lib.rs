@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md section 5 and EXPERIMENTS.md for the index);
-//! this library provides the small common pieces: CSV output and
-//! aligned-table printing.
+//! Each binary in `src/bin/` regenerates one table, figure or
+//! per-substrate sweep (the README's "Benchmarks" section lists them);
+//! this library provides the small common pieces: argument parsing,
+//! CSV/JSON output, baseline comparison and aligned-table printing.
 
 use boresight::adaptive::{FrontierPoint, SubstrateId};
 use std::fs;
@@ -77,28 +77,6 @@ impl BenchArgs {
     /// `true` if the boolean switch `--<name>` was passed.
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
-    }
-
-    /// A flag that optionally carries a number: `--<name>=<v>` returns
-    /// `Some(v)`, the bare `--<name>` returns `Some(default)`, absence
-    /// returns `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `=`-suffixed value does not parse as a number.
-    pub fn flag_num(&self, name: &str, default: f64) -> Option<f64> {
-        self.flags.iter().find_map(|f| {
-            if f == name {
-                Some(default)
-            } else {
-                f.strip_prefix(name)
-                    .and_then(|rest| rest.strip_prefix('='))
-                    .map(|v| {
-                        v.parse()
-                            .unwrap_or_else(|_| panic!("--{name}= needs a number"))
-                    })
-            }
-        })
     }
 }
 
@@ -236,28 +214,6 @@ impl BaselineDelta {
     }
 }
 
-/// Diffs the named metrics between a committed baseline report and a
-/// freshly produced one. Metrics missing from either side are skipped
-/// (a baseline from an older schema must not panic a bench run).
-pub fn compare_to_baseline(
-    baseline: &Json,
-    current: &Json,
-    metrics: &[&str],
-) -> Vec<BaselineDelta> {
-    metrics
-        .iter()
-        .filter_map(|path| {
-            let b = baseline.lookup(path)?.as_f64()?;
-            let c = current.lookup(path)?.as_f64()?;
-            Some(BaselineDelta {
-                metric: (*path).to_string(),
-                baseline: b,
-                current: c,
-            })
-        })
-        .collect()
-}
-
 /// Diffs per-row metrics of a labeled array (the `substrates` shape)
 /// between a baseline and a fresh report, resolving rows by their
 /// `label` key on **both** sides — immune to rows being added or
@@ -338,8 +294,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The small-angle excitation the ablation and budget binaries share,
-/// as a [`boresight::SensorSource`]: a sinusoidal specific-force truth with the
+/// The small-angle excitation the arithmetic ablation streams, as a
+/// [`boresight::SensorSource`]: a sinusoidal specific-force truth with the
 /// misalignment applied through the linearized model
 /// `z = f - e x f + v` — exactly what the 3-state ablation filter
 /// assumes, so filter error isolates the arithmetic substrate.
@@ -480,17 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_deltas_compare_shared_metrics() {
-        let baseline = Json::parse(r#"{"a": 100.0, "nested": {"b": 4}}"#).expect("parse");
-        let current = Json::parse(r#"{"a": 70.0, "nested": {"b": 8}, "new": 1}"#).expect("parse");
-        let deltas = compare_to_baseline(&baseline, &current, &["a", "nested.b", "missing"]);
-        assert_eq!(deltas.len(), 2, "missing metrics are skipped");
-        assert_eq!(deltas[0].metric, "a");
-        assert!((deltas[0].relative_change() + 0.3).abs() < 1e-12);
-        assert!((deltas[1].ratio() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn labeled_baseline_deltas_survive_row_reordering() {
         let baseline =
             Json::parse(r#"{"rows": [{"label": "a", "v": 10}, {"label": "b", "v": 100}]}"#)
@@ -513,59 +458,15 @@ mod tests {
     }
 
     #[test]
-    fn flag_num_parses_bare_and_valued_forms() {
-        let args = BenchArgs {
-            positional: vec![],
-            workers: 0,
-            seed: None,
-            flags: vec!["gate-ticks-floor=0.25".into(), "gate-scaling".into()],
-        };
-        assert_eq!(args.flag_num("gate-ticks-floor", 0.5), Some(0.25));
-        assert_eq!(args.flag_num("gate-scaling", 1.4), Some(1.4));
-        assert_eq!(args.flag_num("absent", 1.0), None);
-    }
-
-    #[test]
     fn committed_baselines_parse() {
         // The committed baseline snapshots must stay machine-readable —
-        // the CI throughput floor gate depends on them.
-        let throughput = load_baseline("BENCH_throughput.json").expect("committed baseline");
-        let soft = throughput
-            .find_labeled("substrates", "softfloat")
-            .expect("softfloat row");
-        assert!(soft.lookup("samples_per_sec").unwrap().as_f64().unwrap() > 0.0);
+        // the ablation and frontier comparators and the frontier-driven
+        // adaptive policy read them.
         let ablation = load_baseline("BENCH_arith_full_filter.json").expect("committed baseline");
         let soft = ablation
             .find_labeled("substrates", "iekf5/softfloat")
             .expect("softfloat row");
         assert!(soft.lookup("cycles_per_sample").unwrap().as_f64().unwrap() > 0.0);
-        let fleet = load_baseline("BENCH_fleet.json").expect("committed baseline");
-        assert!(
-            fleet
-                .lookup("simd.vehicle_ticks_per_sec")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-        // The persistent-executor schema: resolved worker + core
-        // counts and the scheduling attribution the overhead gate and
-        // ticks floor read.
-        assert!(fleet.lookup("cores").unwrap().as_f64().unwrap() >= 1.0);
-        let overhead = fleet
-            .lookup("epoch_profile.overhead_fraction")
-            .expect("scheduling attribution committed")
-            .as_f64()
-            .unwrap();
-        assert!((0.0..=1.0).contains(&overhead));
-        assert!(
-            fleet
-                .lookup("simd.epoch_profile.compute.p50_us")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
         let frontier = load_baseline("BENCH_frontier.json").expect("committed baseline");
         let simd8 = frontier
             .find_labeled("cells", "paper-static/simd/f64x8")
@@ -577,6 +478,11 @@ mod tests {
             .as_f64()
             .unwrap()
             .is_finite());
+        let adaptive = load_baseline("BENCH_adaptive.json").expect("committed baseline");
+        let f64_run = adaptive
+            .find_labeled("scenarios.0.runs", "f64")
+            .expect("f64 reference run");
+        assert!(f64_run.lookup("rms_deg").unwrap().as_f64().unwrap() > 0.0);
     }
 
     #[test]

@@ -722,18 +722,6 @@ pub struct QArith<const FRAC: u32> {
     counts: OpCounts,
 }
 
-/// Q16.16 saturating fixed point — the balanced split the paper's
-/// "obvious enhancement" proposes.
-///
-/// Deprecated: the alias predates the [`QArith`] format family and
-/// hides the fraction split that now matters everywhere (frontier
-/// sweeps, adaptive reconfiguration). Name the split explicitly.
-#[deprecated(
-    since = "0.8.0",
-    note = "use QArith<16> — the alias hides the Q-format split"
-)]
-pub type FixedArith = QArith<16>;
-
 impl<const FRAC: u32> QArith<FRAC> {
     /// Integer cycles for add/sub/neg/abs/compare on a 32-bit core.
     pub const CYCLE_ADD: u64 = 1;

@@ -496,10 +496,6 @@ impl<A: LaneSpec<L> + Clone + Default, const L: usize> Shard<A, L> {
         self.slots[s].clock
     }
 
-    pub(crate) fn id_of(&self, s: usize) -> VehicleId {
-        self.slots[s].id
-    }
-
     pub(crate) fn ingress_stats(&self) -> super::ingress::IngressStats {
         let mut stats = self.queues[0].stats;
         stats.merge(&self.queues[1].stats);

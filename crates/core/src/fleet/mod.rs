@@ -770,24 +770,6 @@ impl<A: LaneSpec<L> + Clone + Default, const L: usize> Fleet<A, L> {
         self.with_slot(id, |shard, slot| shard.local_time_of(slot))
     }
 
-    /// Every resident vehicle's id, in shard/slot order, the adaptive
-    /// sideband last.
-    pub fn resident_ids(&self) -> Vec<VehicleId> {
-        let mut out = Vec::with_capacity(self.directory.len() + self.adaptive.len());
-        for i in 0..self.shards.len() {
-            let shard = self.shard_ref(i);
-            for slot in 0..shard.occupied() {
-                out.push(shard.id_of(slot));
-            }
-        }
-        for i in 0..self.adaptive.len() {
-            // SAFETY: `&self` accessor, no epoch in flight (see
-            // `shard_ref`).
-            out.push(unsafe { &*self.adaptive[i].get() }.id);
-        }
-        out
-    }
-
     /// The eviction log, in eviction order.
     pub fn completed(&self) -> &[EvictedVehicle] {
         &self.completed

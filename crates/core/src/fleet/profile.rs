@@ -1,13 +1,11 @@
 //! Wall-time attribution for the fleet's epoch scheduler.
 //!
-//! The fleet's kernels were measured to death in earlier PRs; what was
-//! *not* measured is the orchestration wrapped around them — thread
-//! wake-up, shard claiming, the epoch barrier, work stealing. This
-//! module makes that overhead a first-class, regression-gated
-//! quantity: every epoch the scheduler folds each worker's phase
-//! timings into one [`EpochSample`], a preallocated ring keeps the
-//! recent window, and [`EpochProfile`] aggregates p50/p99 per phase
-//! plus the scheduling-overhead fraction the CI gate checks.
+//! Besides the lane kernels, an epoch spends time on the orchestration
+//! wrapped around them — thread wake-up, shard claiming, the epoch
+//! barrier, work stealing. This module attributes it: every epoch the
+//! scheduler folds each worker's phase timings into one
+//! [`EpochSample`], a preallocated ring keeps the recent window, and
+//! [`EpochProfile`] aggregates totals and p50/p99 per phase.
 //!
 //! Recording is allocation-free in steady state (the ring is sized at
 //! construction), so the profiler runs inside the audited zero-alloc
@@ -39,24 +37,6 @@ pub struct EpochSample {
     pub workers: u32,
 }
 
-impl EpochSample {
-    /// Busy time across workers (everything but scheduling overhead).
-    pub fn busy_us(&self) -> f64 {
-        self.ingest_us + self.compute_us + self.sideband_us + self.steal_us
-    }
-
-    /// This epoch's scheduling overhead as a fraction of total worker
-    /// wall time (`0.0` for an empty epoch).
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.wall_us * f64::from(self.workers);
-        if total <= 0.0 {
-            0.0
-        } else {
-            (self.barrier_us / total).max(0.0)
-        }
-    }
-}
-
 /// One phase column's aggregate over the profiled window.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseStats {
@@ -82,9 +62,8 @@ pub struct EpochProfile {
     pub workers: u32,
     /// Shard tasks claimed by non-home workers over the window.
     pub steals: u64,
-    /// `sum(wall_us x workers)` over the window — the denominator of
-    /// [`overhead_fraction`](EpochProfile::overhead_fraction), exact
-    /// even when the worker count changed mid-window.
+    /// `sum(wall_us x workers)` over the window — total worker wall
+    /// time, exact even when the worker count changed mid-window.
     pub worker_wall_us: f64,
     pub wall: PhaseStats,
     pub ingest: PhaseStats,
@@ -95,17 +74,6 @@ pub struct EpochProfile {
 }
 
 impl EpochProfile {
-    /// Scheduling overhead (wake-up + claim + barrier) as a fraction
-    /// of total worker wall time over the window — the quantity the
-    /// acceptance gate bounds.
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.worker_wall_us <= 0.0 {
-            0.0
-        } else {
-            (self.barrier.total_us / self.worker_wall_us).clamp(0.0, 1.0)
-        }
-    }
-
     /// `(label, stats, share-of-busy)` rows for table printing, in
     /// pipeline order.
     pub fn rows(&self) -> [(&'static str, PhaseStats, f64); 5] {
@@ -139,9 +107,8 @@ pub struct EpochProfiler {
     recorded: u64,
 }
 
-/// Epochs the default profiler window retains — covers the full
-/// `fleet_bench` measurement (2000 epochs plus warm-up) with room to
-/// spare; older epochs are overwritten ring-wise.
+/// Epochs the default profiler window retains (about 20 s of 200 Hz
+/// epochs); older epochs are overwritten ring-wise.
 pub const DEFAULT_PROFILE_WINDOW: usize = 4096;
 
 impl EpochProfiler {
@@ -277,10 +244,6 @@ mod tests {
         assert!((profile.wall.p50_us - 150.0).abs() < 1.0, "{profile:?}");
         assert!((profile.wall.p99_us - 198.0).abs() < 1.5, "{profile:?}");
         assert!((profile.ingest.p50_us - 10.0).abs() < 1e-9);
-        // barrier = 2*wall - 90 against a 2-worker denominator 2*wall:
-        // fraction tends to 1 - 45/wall.
-        let f = profile.overhead_fraction();
-        assert!(f > 0.5 && f < 1.0, "{f}");
     }
 
     #[test]
@@ -306,12 +269,5 @@ mod tests {
         assert_eq!(p.recorded(), 0);
         p.record(sample(2.0, 0.0, 0.0, 0.0, 1));
         assert_eq!(p.profile().expect("recorded").epochs, 1);
-    }
-
-    #[test]
-    fn overhead_fraction_of_idle_free_epoch_is_zero() {
-        let s = sample(100.0, 50.0, 150.0, 0.0, 2);
-        assert_eq!(s.overhead_fraction(), 0.0);
-        assert!((s.busy_us() - 200.0).abs() < 1e-12);
     }
 }

@@ -171,8 +171,6 @@ pub use adaptive::{
     AdaptiveBackend, ContextMonitor, ContextState, FrontierPoint, FrontierPolicy, HysteresisPolicy,
     PinnedPolicy, ReconfigEvent, ReconfigLedger, ReconfigPolicy, SubstrateId,
 };
-#[allow(deprecated)]
-pub use arith::FixedArith;
 pub use arith::{
     Arith, F32Arith, F32ArithFast, F64Arith, F64ArithFast, LaneArith, LaneOps, LaneSpec, OpCounts,
     PhaseCost, PhaseLedger, QArith, SoftArith,

@@ -5,10 +5,12 @@
 //! evictions compact slots without disturbing survivors, and recycled
 //! slots are indistinguishable from fresh ones.
 
+use sensor_fusion_fpga::fusion::adaptive::{HysteresisPolicy, SubstrateId};
 use sensor_fusion_fpga::fusion::arith::F64Arith;
 use sensor_fusion_fpga::fusion::fleet::{EvictReason, Fleet, FleetConfig, VehicleId};
+use sensor_fusion_fpga::fusion::oracle::FusionOracle;
 use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
-use sensor_fusion_fpga::fusion::{catalog, FusionSession};
+use sensor_fusion_fpga::fusion::{catalog, FusionSession, MisalignmentEstimate};
 
 const TICK: f64 = 0.005;
 
@@ -291,4 +293,81 @@ fn completed_vehicles_are_evicted_with_final_summaries() {
     let session = scalar_reference(&long, 120);
     assert_eq!(fleet_bits(&fleet, ids[1]), scalar_bits(&long, &session));
     assert_eq!(fleet.stats().evicted, 1);
+}
+
+/// The adaptive sideband: supervised sessions starting on Q16.16 ride
+/// next to the lane arena, reconfigure under the hysteresis policy,
+/// keep oracle-clean ledgers, and end bit-identical to standalone
+/// adaptive sessions advanced one `tick_dt` per epoch — at 1 and 2
+/// workers.
+#[test]
+fn adaptive_sideband_switches_and_matches_standalone_sessions() {
+    const EPOCHS: usize = 1200;
+    let sideband: Vec<ScenarioSpec> = catalog::all()[..8]
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            spec.clone()
+                .with_duration(30.0)
+                .with_seed(900_000 + i as u64)
+        })
+        .collect();
+    let bits = |est: &MisalignmentEstimate| {
+        [
+            est.angles.roll.to_bits(),
+            est.angles.pitch.to_bits(),
+            est.angles.yaw.to_bits(),
+            est.one_sigma[0].to_bits(),
+            est.one_sigma[1].to_bits(),
+            est.one_sigma[2].to_bits(),
+            est.updates,
+        ]
+    };
+    let expected: Vec<_> = sideband
+        .iter()
+        .map(|spec| {
+            let mut session = spec.into_adaptive_session(
+                spec.lower_trajectory(),
+                SubstrateId::Q16_16,
+                Box::new(HysteresisPolicy::default()),
+            );
+            for _ in 0..EPOCHS {
+                session.run_for(TICK);
+            }
+            bits(&session.estimate())
+        })
+        .collect();
+
+    let oracle = FusionOracle::default();
+    for workers in [1, 2] {
+        let (mut fleet, _) = build_fleet(&roster(4, 30.0), 2);
+        let ids: Vec<VehicleId> = sideband
+            .iter()
+            .map(|spec| {
+                fleet.admit_adaptive(
+                    spec,
+                    SubstrateId::Q16_16,
+                    Box::new(HysteresisPolicy::default()),
+                )
+            })
+            .collect();
+        fleet.run_epochs(EPOCHS, workers);
+        assert!(
+            fleet.stats().substrate_switches > 0,
+            "sideband recorded no substrate switches at {workers} workers"
+        );
+        for (i, &id) in ids.iter().enumerate() {
+            let ledger = fleet.adaptive_ledger(id).expect("sideband resident");
+            if let Some(verdict) = oracle.check_ledger(ledger, SubstrateId::Q16_16, 0) {
+                panic!("sideband vehicle {i} ledger at {workers} workers: {verdict}");
+            }
+            assert_eq!(
+                bits(&fleet.estimate(id).expect("sideband resident")),
+                expected[i],
+                "sideband vehicle {i} ({}) diverged from its standalone session \
+                 at {workers} workers",
+                sideband[i].name
+            );
+        }
+    }
 }
