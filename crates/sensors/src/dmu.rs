@@ -132,7 +132,8 @@ pub struct Dmu {
     config: DmuConfig,
     gyros: [RingGyro; 3],
     accels: [CapacitiveAccel; 3],
-    triad_dcm: Dcm,
+    // Body-to-triad rotation C_bt^T of the instrument mounting.
+    body_to_triad: Dcm,
     seq: u16,
     time_s: f64,
 }
@@ -156,7 +157,7 @@ impl Dmu {
                 CapacitiveAccel::new(accel_cfg),
                 CapacitiveAccel::new(accel_cfg),
             ],
-            triad_dcm: config.triad_misalignment.dcm(),
+            body_to_triad: config.triad_misalignment.dcm().transpose(),
             seq: 0,
             time_s: 0.0,
         }
@@ -182,8 +183,8 @@ impl Dmu {
     ) -> DmuSample {
         // Instrument triad sees inputs through its own small mounting
         // rotation: v_triad = C_bt^T * v_body.
-        let f_t = self.triad_dcm.transpose().rotate(specific_force_body);
-        let w_t = self.triad_dcm.transpose().rotate(angular_rate_body);
+        let f_t = self.body_to_triad.rotate(specific_force_body);
+        let w_t = self.body_to_triad.rotate(angular_rate_body);
         let gyro = Vec3::new([
             self.gyros[0].sample(w_t[0], rng),
             self.gyros[1].sample(w_t[1], rng),

@@ -10,19 +10,36 @@
 
 use sensor_fusion_fpga::fusion::arith::F64Arith;
 use sensor_fusion_fpga::fusion::catalog;
+use sensor_fusion_fpga::fusion::exec::{self, Pool};
 use sensor_fusion_fpga::fusion::fleet::{Fleet, FleetConfig};
 use sensor_fusion_fpga::fusion::spec::ChannelSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The system allocator with an allocation-event counter in front.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread runs audited code. Only those threads count:
+    /// libtest's own threads allocate whenever a test finishes (result
+    /// delivery, output, spawning the next test), and that can land in
+    /// another test's measurement window.
+    static AUDITED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if AUDITED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,12 +48,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -48,19 +65,45 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The counter is process-global, so the two audits must not overlap —
+/// The counter is process-global, so the audits must not overlap —
 /// libtest runs `#[test]`s on parallel threads by default, and another
 /// test's warm-up allocating inside this test's measurement window
 /// would fail the zero assert spuriously. Each test body holds this
 /// lock for its whole duration.
-static AUDIT_SERIALIZER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static AUDIT_SERIALIZER: Mutex<()> = Mutex::new(());
+
+/// One test's hold on the audit: serialized against the other audits,
+/// with the calling thread's allocations counted until it drops.
+struct Audit {
+    _serialized: MutexGuard<'static, ()>,
+}
+
+impl Audit {
+    fn begin() -> Self {
+        // The lock guards no data, so a failed audit leaves nothing
+        // for the next one to distrust.
+        let serialized = AUDIT_SERIALIZER
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        AUDITED.set(true);
+        Self {
+            _serialized: serialized,
+        }
+    }
+}
+
+impl Drop for Audit {
+    fn drop(&mut self) {
+        AUDITED.set(false);
+    }
+}
 
 /// The synthetic-source path (the suite's default): after 2 s of
 /// warm-up, a further 25 s of streaming — 5000 ACC samples through the
 /// full 5-state IEKF with trace recording on — allocates nothing.
 #[test]
 fn synthetic_session_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let spec = catalog::paper_static().with_duration(30.0);
     let mut session = spec.into_session(spec.lower_trajectory());
     session.run_for(2.0);
@@ -81,7 +124,7 @@ fn synthetic_session_steady_state_allocates_nothing() {
 /// pooled byte buffers have reached line size.
 #[test]
 fn comms_chain_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let spec = catalog::paper_static()
         .with_duration(30.0)
         .with_channel(ChannelSpec::comms());
@@ -107,7 +150,7 @@ fn comms_chain_steady_state_allocates_nothing() {
 /// allocations on the inline (workers = 1) scheduling path.
 #[test]
 fn fleet_epoch_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let mut fleet: Fleet<F64Arith, 8> = Fleet::new(FleetConfig::default());
     for i in 0..1_000u64 {
         let spec = catalog::paper_static()
@@ -131,14 +174,15 @@ fn fleet_epoch_steady_state_allocates_nothing() {
 }
 
 /// The persistent executor keeps the fleet's zero-allocation property
-/// at **multi-worker** counts: the warm-up builds and caches the
-/// `exec::Pool` (thread spawn, lap scratch, profiler ring), after
-/// which a steady-state epoch — claim CAS per shard, parked-thread
-/// wake, fused ingest/compute task, barrier, profile sample — performs
-/// zero heap allocations on any thread.
+/// at **multi-worker** counts: once the warm-up has run epochs on the
+/// `exec::Pool` (thread spawn, lap scratch, profiler ring), a
+/// steady-state epoch — claim CAS per shard, parked-thread wake, fused
+/// ingest/compute task, barrier, profile sample — performs zero heap
+/// allocations on any of the pool's threads. The same holds for the
+/// pool `Fleet::run_epochs` caches, which is built once and reused.
 #[test]
 fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let mut fleet: Fleet<F64Arith, 8> = Fleet::new(FleetConfig::default());
     for i in 0..1_000u64 {
         let spec = catalog::paper_static()
@@ -146,15 +190,38 @@ fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
             .with_seed(60_000 + i);
         fleet.admit(&spec).expect("catalog tuning is compatible");
     }
-    fleet.run_epochs(5, 4);
+    let pool = Pool::new(4);
+    fleet.run_epochs_on(5, &pool);
+    pool.run_epoch(|_| AUDITED.set(true));
     let before = allocations();
-    fleet.run_epochs(50, 4);
+    fleet.run_epochs_on(50, &pool);
     let after = allocations();
     assert_eq!(
         after - before,
         0,
         "multi-worker fleet epoch loop allocated {} times in steady state",
         after - before
+    );
+
+    // The pool `run_epochs` caches on the fleet: built once by the
+    // warm-up, then reused. Its workers are not audited, but the test
+    // thread is (it runs as worker 0 and would build a replacement
+    // pool), and a rebuilt pool would spawn fresh threads.
+    fleet.run_epochs(5, 4);
+    let spawned = exec::threads_spawned();
+    let before = allocations();
+    fleet.run_epochs(50, 4);
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "cached-pool fleet epoch loop allocated {} times in steady state",
+        after - before
+    );
+    assert_eq!(
+        exec::threads_spawned(),
+        spawned,
+        "run_epochs rebuilt its cached pool"
     );
     let stats = fleet.stats();
     assert_eq!(stats.vehicles, 1_000, "nobody was evicted mid-audit");
@@ -169,7 +236,7 @@ fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
 fn simd_fleet_epoch_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::simd::SimdF64;
 
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let mut fleet: Fleet<SimdF64, 8> = Fleet::new(FleetConfig::default());
     for i in 0..256u64 {
         let spec = catalog::paper_static()
@@ -203,7 +270,7 @@ fn simd_fleet_epoch_steady_state_allocates_nothing() {
 fn adaptive_session_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::adaptive::{AdaptiveBackend, HysteresisPolicy, SubstrateId};
 
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let spec = catalog::paper_static().with_duration(30.0);
     let mut session = spec.into_adaptive_session(
         spec.lower_trajectory(),
@@ -241,7 +308,7 @@ fn q_format_filter_loop_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::arith::QArith;
     use sensor_fusion_fpga::fusion::session::FusionSession;
 
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let _audit = Audit::begin();
     let spec = catalog::paper_static().with_duration(30.0);
     let cfg = spec.config();
     let mut session =
