@@ -13,6 +13,21 @@
 //! 10 guard bits, exactly the headroom Berkeley Softfloat uses, which
 //! keeps small alignment shifts exact and makes the sticky-bit ("jam")
 //! rounding argument sound through cancellation.
+//!
+//! Each arithmetic op makes one classification test. When every
+//! operand is normal (biased exponent in `1..=0x7FE`) it runs the op's
+//! core; NaN, infinity and zero operands go to a cold special-operand
+//! tail, which also normalizes subnormal inputs and hands them back to
+//! the *same* core. The core rounds without data-dependent branches:
+//! `(sig + (TIE - 1) + lsb) >> GUARD` is round-to-nearest-even, and the
+//! result is packed as `((e - 1) << 52) + sig_r`, so the hidden bit
+//! lands in the exponent field and a significand that rounds up to
+//! `2^53` carries into the exponent — past the largest finite value
+//! that carry produces infinity. Only results that leave the normal
+//! exponent range before rounding (subnormal, or already overflowed)
+//! take the general `round_pack`.
+
+use std::hint::select_unpredictable;
 
 /// A binary64 value as a raw bit pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,6 +41,8 @@ const HIDDEN: u64 = 1 << FRAC_BITS;
 /// Canonical quiet NaN.
 const QNAN: u64 = 0x7FF8_0000_0000_0000;
 const EXP_MAX: i32 = 0x7FF;
+/// Positive infinity.
+const INF: u64 = (EXP_MAX as u64) << FRAC_BITS;
 /// Guard bits carried below the mantissa during arithmetic.
 const GUARD: u32 = 10;
 /// Internal normalized significand MSB position (52 + 10).
@@ -71,6 +88,12 @@ impl Sf64 {
         self.0 & FRAC_MASK
     }
 
+    /// `true` for a normal magnitude (biased exponent in `1..=0x7FE`),
+    /// the operand class every core handles directly.
+    fn is_normal(self) -> bool {
+        (self.0 & !SIGN).wrapping_sub(HIDDEN) < INF - HIDDEN
+    }
+
     /// `true` for any NaN.
     pub fn is_nan(self) -> bool {
         self.exp() == EXP_MAX && self.frac() != 0
@@ -106,90 +129,118 @@ fn inf(sign: bool) -> u64 {
     pack(sign, EXP_MAX, 0)
 }
 
-/// Shift right with sticky (OR of shifted-out bits into bit 0).
+/// Shift right with sticky (OR of shifted-out bits into bit 0) for a
+/// nonzero `x`, without branches: bits are shifted out exactly when the
+/// shift passes the lowest set bit, and shifts of 64 or more clamp to
+/// 63, which leaves only that sticky bit.
+#[inline]
 fn srs64(x: u64, shift: u32) -> u64 {
-    if shift == 0 {
-        x
-    } else if shift >= 64 {
-        (x != 0) as u64
-    } else {
-        (x >> shift) | ((x & ((1u64 << shift) - 1) != 0) as u64)
-    }
+    debug_assert!(x != 0);
+    (x >> shift.min(63)) | (shift > x.trailing_zeros()) as u64
 }
 
-/// Shift a u128 right with sticky, returning u64 (result must fit).
-fn srs128_to64(x: u128, shift: u32) -> u64 {
-    let kept = (x >> shift) as u64;
-    let sticky = (x & ((1u128 << shift) - 1)) != 0;
-    kept | sticky as u64
-}
-
-/// Unpacks a finite nonzero value into (sign, biased exp, significand
-/// with hidden bit normalized into `[2^52, 2^53)`).
-fn unpack_norm(x: Sf64) -> (bool, i32, u64) {
+/// Unpacks a finite nonzero value into (sign bit in place, biased exp,
+/// significand with hidden bit normalized into `[2^52, 2^53)`). A
+/// subnormal comes back normalized with a biased exponent `<= 0`.
+fn unpack_norm(x: Sf64) -> (u64, i32, u64) {
     let mut e = x.exp();
     let mut sig = x.frac();
     if e == 0 {
-        // Subnormal: normalize.
         let shift = sig.leading_zeros() - (63 - FRAC_BITS);
         sig <<= shift;
         e = 1 - shift as i32;
     } else {
         sig |= HIDDEN;
     }
-    (x.sign(), e, sig)
+    (x.0 & SIGN, e, sig)
 }
 
-/// Rounds and packs. `sig` carries [`GUARD`] guard bits; when the value
-/// is normalized its MSB is at [`NORM_MSB`]. The represented value is
-/// `sig * 2^(e - 1023 - 62)`.
-fn round_pack(sign: bool, mut e: i32, mut sig: u64) -> u64 {
-    debug_assert!(sig != 0);
-    if e >= EXP_MAX {
-        return inf(sign);
-    }
-    if e <= 0 {
-        let shift = (1 - e) as u32;
-        sig = srs64(sig, shift);
-        e = 1;
-    }
-    let guard_bits = sig & ((1 << GUARD) - 1);
-    let mut sig_r = sig >> GUARD;
-    if guard_bits > TIE || (guard_bits == TIE && (sig_r & 1) == 1) {
-        sig_r += 1;
-    }
-    if sig_r >= (1 << (FRAC_BITS + 1)) {
-        sig_r >>= 1;
-        e += 1;
-        if e >= EXP_MAX {
-            return inf(sign);
-        }
-    }
-    if sig_r >= HIDDEN {
-        pack(sign, e, sig_r - HIDDEN)
+/// [`unpack_norm`] for a value known to be normal.
+#[inline(always)]
+fn unpack_normal(x: Sf64) -> (u64, i32, u64) {
+    (x.0 & SIGN, x.exp(), x.frac() | HIDDEN)
+}
+
+/// Rounds to nearest even and packs a normalized `sig` (MSB at
+/// [`NORM_MSB`], value `sig * 2^(e - 1023 - 62)`): branch-free when the
+/// biased exponent `e` is normal, through [`round_pack`] otherwise.
+#[inline(always)]
+fn finish(sign: u64, e: i32, sig: u64) -> u64 {
+    if ((e - 1) as u32) < (EXP_MAX - 1) as u32 {
+        round_normal(sign, e, sig)
     } else {
-        // Subnormal (or zero after underflow).
-        pack(sign, 0, sig_r)
+        round_pack(sign, e, sig)
     }
 }
 
-/// Normalizes nonzero `sig` so its MSB is at [`NORM_MSB`], adjusting
-/// `e`. Right shifts keep sticky.
-fn normalize(mut e: i32, mut sig: u64) -> (i32, u64) {
-    let msb = 63 - sig.leading_zeros() as i32;
-    let shift = msb - NORM_MSB as i32;
-    if shift > 0 {
-        sig = srs64(sig, shift as u32);
-        e += shift;
-    } else if shift < 0 {
-        sig <<= -shift;
-        e += shift;
+/// Branch-free round-to-nearest-even and pack for `e` in `1..=0x7FE`.
+/// The hidden bit of `sig_r` adds one to `e - 1`; a rounding carry to
+/// `2^53` adds another, and from `e = 0x7FE` that reaches infinity.
+#[inline(always)]
+fn round_normal(sign: u64, e: i32, sig: u64) -> u64 {
+    let lsb = (sig >> GUARD) & 1;
+    let sig_r = (sig + (TIE - 1) + lsb) >> GUARD;
+    sign | ((((e - 1) as u64) << FRAC_BITS) + sig_r)
+}
+
+/// Rounds and packs a normalized `sig` whose biased exponent left the
+/// normal range: overflow saturates to infinity, and `e <= 0`
+/// denormalizes to exponent 1 with sticky, where a significand left
+/// below `2^52` packs as a subnormal (or zero) and one that rounds up to
+/// `2^52` as the smallest normal.
+#[cold]
+#[inline(never)]
+fn round_pack(sign: u64, e: i32, sig: u64) -> u64 {
+    debug_assert!(sig >> NORM_MSB == 1);
+    if e >= EXP_MAX {
+        return sign | INF;
     }
-    (e, sig)
+    debug_assert!(e < 1);
+    round_normal(sign, 1, srs64(sig, (1 - e) as u32))
+}
+
+/// Addition core for finite nonzero operands, unpacked by `unpack`.
+///
+/// The operands are ordered by magnitude — for finite values the
+/// integer order of `bits & !SIGN` is the magnitude order — without a
+/// branch, since the order of filter operands is a coin flip. Both
+/// significands sit one bit below the normalized position, so a
+/// same-sign carry fits; the aligned smaller one (with sticky) is
+/// added or, for opposite signs, subtracted, and one `leading_zeros`
+/// renormalizes every case — a carry (shift 0), a far difference
+/// (shift at most 2, exact) or a near cancellation (exact, since the
+/// smaller operand was then aligned by at most one bit).
+#[inline(always)]
+fn add_core(a: Sf64, b: Sf64, unpack: impl Fn(Sf64) -> (u64, i32, u64)) -> u64 {
+    let a_is_hi = (a.0 & !SIGN) >= (b.0 & !SIGN);
+    let (hi, lo) = select_unpredictable(a_is_hi, (a, b), (b, a));
+    let ((sign, e_hi, sig_hi), (sign_lo, e_lo, sig_lo)) = (unpack(hi), unpack(lo));
+    let big = sig_hi << (GUARD - 1);
+    let small = srs64(sig_lo << (GUARD - 1), (e_hi - e_lo) as u32);
+    // All ones when the signs differ: `small ^ neg - neg` is `-small`.
+    let neg = ((sign ^ sign_lo) >> 63).wrapping_neg();
+    let sum = big.wrapping_add((small ^ neg).wrapping_sub(neg));
+    if sum == 0 {
+        return 0; // exact cancellation -> +0
+    }
+    let lz = sum.leading_zeros();
+    finish(sign, e_hi + 2 - lz as i32, sum << (lz - 1))
 }
 
 /// IEEE-754 addition, round-to-nearest-even.
+#[inline]
 pub fn add(a: Sf64, b: Sf64) -> Sf64 {
+    if a.is_normal() && b.is_normal() {
+        Sf64(add_core(a, b, unpack_normal))
+    } else {
+        add_special(a, b)
+    }
+}
+
+/// [`add`] when an operand is NaN, infinite, zero or subnormal.
+#[cold]
+#[inline(never)]
+fn add_special(a: Sf64, b: Sf64) -> Sf64 {
     if a.is_nan() || b.is_nan() {
         return Sf64(QNAN);
     }
@@ -211,46 +262,42 @@ pub fn add(a: Sf64, b: Sf64) -> Sf64 {
     if b.is_zero() {
         return a;
     }
-    let (sa, ea, siga) = unpack_norm(a);
-    let (sb, eb, sigb) = unpack_norm(b);
-    let a_is_hi = (ea, siga) >= (eb, sigb);
-    let (mut e, hi, s_hi, lo_raw, e_lo, s_lo) = if a_is_hi {
-        (ea, siga << GUARD, sa, sigb << GUARD, eb, sb)
-    } else {
-        (eb, sigb << GUARD, sb, siga << GUARD, ea, sa)
-    };
-    let lo = srs64(lo_raw, (e - e_lo) as u32);
-    let (sign, mut sum);
-    if s_hi == s_lo {
-        sum = hi + lo;
-        sign = s_hi;
-        if sum >= (1 << (NORM_MSB + 1)) {
-            sum = srs64(sum, 1);
-            e += 1;
-        }
-    } else {
-        if hi == lo {
-            return Sf64(0); // exact cancellation -> +0
-        }
-        sum = hi - lo;
-        sign = s_hi;
-        let (e2, s2) = normalize(e, sum);
-        e = e2;
-        sum = s2;
-    }
-    Sf64(round_pack(sign, e, sum))
+    Sf64(add_core(a, b, unpack_norm))
 }
 
 /// IEEE-754 subtraction.
+#[inline]
 pub fn sub(a: Sf64, b: Sf64) -> Sf64 {
-    if b.is_nan() {
-        return Sf64(QNAN);
-    }
     add(a, b.neg())
 }
 
+/// Multiplication core for finite nonzero unpacked operands. With both
+/// significands shifted to bit 63 the 128-bit product's high word has
+/// its top bit at 62 or 63; that bit picks a one-bit sticky shift, and
+/// the low word is the rest of the sticky.
+#[inline(always)]
+fn mul_core((sign_a, e_a, sig_a): (u64, i32, u64), (sign_b, e_b, sig_b): (u64, i32, u64)) -> u64 {
+    let p = ((sig_a << (63 - FRAC_BITS)) as u128) * ((sig_b << (63 - FRAC_BITS)) as u128);
+    let (hi, lo) = ((p >> 64) as u64, p as u64);
+    let top = hi >> 63;
+    let sig = (hi >> top) | (hi & top) | (lo != 0) as u64;
+    finish(sign_a ^ sign_b, e_a + e_b - 1023 + top as i32, sig)
+}
+
 /// IEEE-754 multiplication, round-to-nearest-even.
+#[inline]
 pub fn mul(a: Sf64, b: Sf64) -> Sf64 {
+    if a.is_normal() && b.is_normal() {
+        Sf64(mul_core(unpack_normal(a), unpack_normal(b)))
+    } else {
+        mul_special(a, b)
+    }
+}
+
+/// [`mul`] when an operand is NaN, infinite, zero or subnormal.
+#[cold]
+#[inline(never)]
+fn mul_special(a: Sf64, b: Sf64) -> Sf64 {
     if a.is_nan() || b.is_nan() {
         return Sf64(QNAN);
     }
@@ -264,21 +311,38 @@ pub fn mul(a: Sf64, b: Sf64) -> Sf64 {
     if a.is_zero() || b.is_zero() {
         return Sf64(pack(sign, 0, 0));
     }
-    let (_, ea, siga) = unpack_norm(a);
-    let (_, eb, sigb) = unpack_norm(b);
-    let mut e = ea + eb - 1023;
-    let p = (siga as u128) * (sigb as u128); // in [2^104, 2^106)
-    let sig = if p >= (1u128 << 105) {
-        e += 1;
-        srs128_to64(p, 105 - NORM_MSB)
-    } else {
-        srs128_to64(p, 104 - NORM_MSB)
-    };
-    Sf64(round_pack(sign, e, sig))
+    Sf64(mul_core(unpack_norm(a), unpack_norm(b)))
+}
+
+/// Division core for finite nonzero unpacked operands: one 128-bit
+/// division of `sig_a << 63` by `sig_b`, its remainder recovered by
+/// multiplication as the sticky bit. The quotient is in `(2^62, 2^64)`.
+fn div_core((sign_a, e_a, sig_a): (u64, i32, u64), (sign_b, e_b, sig_b): (u64, i32, u64)) -> u64 {
+    let num = (sig_a as u128) << (NORM_MSB + 1);
+    let q = num / sig_b as u128;
+    let rem = num - q * sig_b as u128;
+    let q = q as u64 | (rem != 0) as u64;
+    let top = q >> 63;
+    finish(
+        sign_a ^ sign_b,
+        e_a - e_b + 1022 + top as i32,
+        (q >> top) | (q & top),
+    )
 }
 
 /// IEEE-754 division, round-to-nearest-even.
 pub fn div(a: Sf64, b: Sf64) -> Sf64 {
+    if a.is_normal() && b.is_normal() {
+        Sf64(div_core(unpack_normal(a), unpack_normal(b)))
+    } else {
+        div_special(a, b)
+    }
+}
+
+/// [`div`] when an operand is NaN, infinite, zero or subnormal.
+#[cold]
+#[inline(never)]
+fn div_special(a: Sf64, b: Sf64) -> Sf64 {
     if a.is_nan() || b.is_nan() {
         return Sf64(QNAN);
     }
@@ -295,24 +359,36 @@ pub fn div(a: Sf64, b: Sf64) -> Sf64 {
         (false, true) => return Sf64(inf(sign)), // division by zero
         _ => {}
     }
-    let (_, ea, siga) = unpack_norm(a);
-    let (_, eb, sigb) = unpack_norm(b);
-    let mut e = ea - eb + 1022;
-    let num = (siga as u128) << (NORM_MSB + 1);
-    let den = sigb as u128;
-    let mut q = num / den; // in (2^62, 2^64)
-    if !num.is_multiple_of(den) {
-        q |= 1; // sticky
-    }
-    if q >= (1 << (NORM_MSB + 1)) {
-        q = (q >> 1) | (q & 1);
-        e += 1;
-    }
-    Sf64(round_pack(sign, e, q as u64))
+    Sf64(div_core(unpack_norm(a), unpack_norm(b)))
+}
+
+/// Square-root core for a positive finite unpacked operand. The result
+/// is always normal.
+fn sqrt_core((_, e, sig): (u64, i32, u64)) -> u64 {
+    // Make the unbiased exponent even; `& 1` tests the low bit of the
+    // two's complement, so this works for negative odd exponents too.
+    let odd = (e - 1023) & 1;
+    // s = floor(sqrt(x)) is in [2^62, 2^63).
+    let x = ((sig as u128) << odd) << 72;
+    let s = isqrt_u128(x);
+    // Inexact results are never ties, so floor + sticky rounds correctly.
+    let s = s as u64 | (s * s != x) as u64;
+    finish(0, (e - 1023 - odd) / 2 + 1023, s)
 }
 
 /// IEEE-754 square root, round-to-nearest-even.
 pub fn sqrt(a: Sf64) -> Sf64 {
+    if a.is_normal() && !a.sign() {
+        Sf64(sqrt_core(unpack_normal(a)))
+    } else {
+        sqrt_special(a)
+    }
+}
+
+/// [`sqrt`] of NaN, an infinity, a zero, a negative or a subnormal.
+#[cold]
+#[inline(never)]
+fn sqrt_special(a: Sf64) -> Sf64 {
     if a.is_nan() {
         return Sf64(QNAN);
     }
@@ -325,44 +401,46 @@ pub fn sqrt(a: Sf64) -> Sf64 {
     if a.is_inf() {
         return a;
     }
-    let (_, e, sig) = unpack_norm(a);
-    let mut ee = e - 1023; // unbiased
-    let mut m = sig as u128; // in [2^52, 2^53)
-    if ee & 1 != 0 {
-        // Make the exponent even (works for negative odd too, since
-        // we subtract after testing the low bit of the two's-complement).
-        m <<= 1;
-        ee -= 1;
-    }
-    // s = floor(sqrt(m << 72)) is in [2^62, 2^63).
-    let x = m << 72;
-    let mut s = isqrt_u128(x);
-    if s * s != x {
-        s |= 1; // inexact: never a tie, so floor+sticky rounds correctly
-    }
-    let er = ee / 2 + 1023;
-    Sf64(round_pack(false, er, s as u64))
+    Sf64(sqrt_core(unpack_norm(a)))
 }
 
-/// Integer square root of a u128 (floor), binary digit-by-digit.
-pub(crate) fn isqrt_u128(x: u128) -> u128 {
+/// Integer square root (floor) of a `u64` by Newton's iteration from
+/// `2^ceil(bits / 2)`, which is at least the root, so the iterates
+/// decrease monotonically to the floor.
+fn isqrt_u64(x: u64) -> u64 {
     if x == 0 {
         return 0;
     }
-    let mut res: u128 = 0;
-    // Highest power of four <= x.
-    let mut bit = 1u128 << ((127 - x.leading_zeros()) & !1);
-    let mut rem = x;
-    while bit != 0 {
-        if rem >= res + bit {
-            rem -= res + bit;
-            res = (res >> 1) + bit;
-        } else {
-            res >>= 1;
+    let mut s = 1u64 << ((65 - x.leading_zeros()) / 2);
+    loop {
+        let t = (s + x / s) >> 1;
+        if t >= s {
+            return s;
         }
-        bit >>= 2;
+        s = t;
     }
-    res
+}
+
+/// Integer square root (floor) of `x < 2^126`, the range the f64 and
+/// f32 square roots use. Above 64 bits, a 64-bit Newton root of the top
+/// 61-62 bits seeds one 128-bit Newton step. From any positive seed a
+/// Newton step lands at or above the floor (the mean of `s` and `x / s`
+/// is at least `sqrt(x)`), here by a few units at most, so an exact
+/// correction down to `s * s <= x < (s + 1)^2` finishes.
+pub(crate) fn isqrt_u128(x: u128) -> u128 {
+    debug_assert!(x < 1 << 126);
+    if x >> 64 == 0 {
+        return isqrt_u64(x as u64) as u128;
+    }
+    // Even shift leaving 61 or 62 significant bits on top.
+    let shift = (128 - x.leading_zeros() - 61) & !1;
+    let seed = (isqrt_u64((x >> shift) as u64) as u128) << (shift / 2);
+    let mut s = (seed + x / seed) >> 1;
+    while s * s > x {
+        s -= 1;
+    }
+    debug_assert!((s + 1) * (s + 1) > x);
+    s
 }
 
 /// IEEE equality (`NaN != NaN`, `-0 == +0`).
@@ -405,11 +483,11 @@ pub fn from_i32(x: i32) -> Sf64 {
     if x == 0 {
         return Sf64(0);
     }
-    let sign = x < 0;
+    let sign = (x as u64) & SIGN;
     let mag = (x as i64).unsigned_abs();
     let msb = 63 - mag.leading_zeros() as i32;
     let sig = mag << (NORM_MSB as i32 - msb); // msb <= 31 < 62: exact
-    Sf64(round_pack(sign, 1023 + msb, sig))
+    Sf64(round_normal(sign, 1023 + msb, sig))
 }
 
 /// Conversion to `i32`, truncating toward zero and saturating at the
@@ -424,7 +502,8 @@ pub fn to_i32_trunc(a: Sf64) -> i32 {
     if a.is_inf() {
         return if a.sign() { i32::MIN } else { i32::MAX };
     }
-    let (sign, e, sig) = unpack_norm(a);
+    let (_, e, sig) = unpack_norm(a);
+    let sign = a.sign();
     let shift = e - 1023; // value = sig * 2^(shift - 52)
     if shift < 0 {
         return 0;
@@ -576,6 +655,54 @@ mod tests {
         }
         for &a in &[2.9, -2.9, 2147483646.7, -2147483649.5, 0.49, 1e15, -1e15] {
             assert_eq!(to_i32_trunc(Sf64::from_f64(a)), a as i32, "to_i32({a})");
+        }
+    }
+
+    /// The bit-serial (digit-by-digit) integer square root the Newton
+    /// version replaced: 64 rounds of 128-bit compare and subtract.
+    fn isqrt_bitserial(x: u128) -> u128 {
+        if x == 0 {
+            return 0;
+        }
+        let mut res: u128 = 0;
+        // Highest power of four <= x.
+        let mut bit = 1u128 << ((127 - x.leading_zeros()) & !1);
+        let mut rem = x;
+        while bit != 0 {
+            if rem >= res + bit {
+                rem -= res + bit;
+                res = (res >> 1) + bit;
+            } else {
+                res >>= 1;
+            }
+            bit >>= 2;
+        }
+        res
+    }
+
+    #[test]
+    fn isqrt_matches_bitserial_reference_on_sqrt_input_ranges() {
+        // f64 sqrt takes x in [2^124, 2^126), f32 sqrt x in [2^60, 2^62);
+        // cover both ranges at random, around every perfect square
+        // probed, and at the endpoints.
+        let mut state = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (lo_bits, hi_bits) in [(124u32, 126u32), (60, 62)] {
+            let (lo, hi) = (1u128 << lo_bits, 1u128 << hi_bits);
+            let mut probes = vec![lo, lo + 1, hi - 1];
+            for _ in 0..50_000 {
+                let x = lo + (((next() as u128) << 64 | next() as u128) % (hi - lo));
+                let r = isqrt_bitserial(x);
+                probes.extend([x, r * r, r * r - 1, (r + 1) * (r + 1) - 1]);
+            }
+            for x in probes.into_iter().filter(|&x| x >= lo && x < hi) {
+                assert_eq!(isqrt_u128(x), isqrt_bitserial(x), "isqrt({x})");
+            }
         }
     }
 

@@ -7,12 +7,15 @@
 //! "how many Sabre cycles does one EKF iteration take" can be answered
 //! without porting a C compiler.
 //!
-//! The default [`CycleCosts`] are derived by counting the integer
-//! ALU/shift/branch operations our own routines perform on typical
-//! operands (normalized inputs, no special cases) on a single-issue
-//! 32-bit RISC, where every 64-bit integer operation costs roughly two
-//! 32-bit instructions and the 64x64 multiply is decomposed into four
-//! 32x32 MULs. They are configurable for sensitivity studies.
+//! The default [`CycleCosts`] model a Berkeley-style Softfloat routine
+//! on the 32-bit Sabre: the integer ALU/shift/branch operations such a
+//! routine performs on typical operands (normalized inputs, no special
+//! cases) on a single-issue 32-bit RISC, where every 64-bit integer
+//! operation costs roughly two 32-bit instructions and the 64x64
+//! multiply is decomposed into four 32x32 MULs. They do not depend on
+//! how the host emulates an operation: the kernels behind [`SoftFpu`]
+//! may take any route to the bit-exact result without moving a
+//! modelled cycle. They are configurable for sensitivity studies.
 
 use super::convert;
 use super::f32impl::{self, Sf32};
@@ -104,6 +107,7 @@ impl CycleCosts {
     }
 
     /// Cycles for one op kind.
+    #[inline]
     pub fn of(&self, op: FpOp) -> u64 {
         match op {
             FpOp::AddF32 => self.add_f32,
@@ -230,6 +234,7 @@ impl SoftFpu {
         self.stats = FpuStats::default();
     }
 
+    #[inline]
     fn charge(&mut self, op: FpOp) {
         self.stats.cycles += self.costs.of(op);
         match op {
@@ -250,54 +255,63 @@ impl SoftFpu {
     }
 
     /// f64 addition.
+    #[inline]
     pub fn add_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::AddF64);
         f64impl::add(a, b)
     }
 
     /// f64 subtraction.
+    #[inline]
     pub fn sub_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::AddF64);
         f64impl::sub(a, b)
     }
 
     /// f64 multiplication.
+    #[inline]
     pub fn mul_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::MulF64);
         f64impl::mul(a, b)
     }
 
     /// f64 division.
+    #[inline]
     pub fn div_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::DivF64);
         f64impl::div(a, b)
     }
 
     /// f64 square root.
+    #[inline]
     pub fn sqrt_f64(&mut self, a: Sf64) -> Sf64 {
         self.charge(FpOp::SqrtF64);
         f64impl::sqrt(a)
     }
 
     /// f64 less-than.
+    #[inline]
     pub fn lt_f64(&mut self, a: Sf64, b: Sf64) -> bool {
         self.charge(FpOp::CmpF64);
         f64impl::lt(a, b)
     }
 
     /// f64 equality.
+    #[inline]
     pub fn eq_f64(&mut self, a: Sf64, b: Sf64) -> bool {
         self.charge(FpOp::CmpF64);
         f64impl::eq(a, b)
     }
 
     /// f64 negation (sign-bit flip).
+    #[inline]
     pub fn neg_f64(&mut self, a: Sf64) -> Sf64 {
         self.charge(FpOp::SignF64);
         a.neg()
     }
 
     /// f64 absolute value (sign-bit clear).
+    #[inline]
     pub fn abs_f64(&mut self, a: Sf64) -> Sf64 {
         self.charge(FpOp::SignF64);
         a.abs()
@@ -309,6 +323,7 @@ impl SoftFpu {
     /// link a polynomial routine); only the cycle cost models the
     /// software evaluation, so emulated trig stays bit-identical to the
     /// native reference.
+    #[inline]
     pub fn sin_cos_f64(&mut self, a: Sf64) -> (Sf64, Sf64) {
         self.charge(FpOp::SinCosF64);
         let (s, c) = a.to_f64().sin_cos();
@@ -456,6 +471,62 @@ mod tests {
             stats.cycles,
             2 * costs.sign_f64 + costs.sincos_f64 + costs.cmp_f64
         );
+    }
+
+    #[test]
+    fn sabre_cost_model_is_pinned() {
+        // The modelled cycles (and every `sabre_budget_frac` built on
+        // them) must not move when the host kernels change.
+        assert_eq!(
+            CycleCosts::sabre_default(),
+            CycleCosts {
+                add_f32: 48,
+                mul_f32: 60,
+                div_f32: 180,
+                sqrt_f32: 260,
+                cmp_f32: 14,
+                add_f64: 75,
+                mul_f64: 135,
+                div_f64: 420,
+                sqrt_f64: 620,
+                cmp_f64: 22,
+                sign_f64: 4,
+                sincos_f64: 5600,
+                convert: 30,
+            }
+        );
+        // A fixed op sequence touching every f64 kind, including
+        // special and subnormal operands, charges a fixed ledger.
+        let mut fpu = SoftFpu::new();
+        let (x, tiny) = (Sf64::from_f64(1.75), Sf64::from_bits(3));
+        let y = fpu.mul_f64(x, tiny);
+        let y = fpu.add_f64(y, x);
+        let y = fpu.sub_f64(y, Sf64::from_f64(f64::INFINITY));
+        let y = fpu.div_f64(x, y);
+        let y = fpu.abs_f64(y);
+        let y = fpu.sqrt_f64(y);
+        let _ = fpu.lt_f64(y, x);
+        let _ = fpu.eq_f64(y, Sf64::ZERO);
+        let _ = fpu.neg_f64(y);
+        let _ = fpu.sin_cos_f64(x);
+        let n = fpu.f64_to_i32(x);
+        let _ = fpu.i32_to_f64(n);
+        let stats = *fpu.stats();
+        assert_eq!(
+            (stats.add_f64, stats.mul_f64, stats.div_f64, stats.sqrt_f64),
+            (2, 1, 1, 1)
+        );
+        assert_eq!(
+            (
+                stats.cmp_f64,
+                stats.sign_f64,
+                stats.sincos_f64,
+                stats.convert
+            ),
+            (2, 2, 1, 2)
+        );
+        assert_eq!(stats.total_ops(), 12);
+        assert_eq!(stats.cycles, 7_037);
     }
 
     #[test]
