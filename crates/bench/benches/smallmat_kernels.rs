@@ -4,12 +4,14 @@
 //! update, on the native-f64 (counted and uncounted) and Q16.16
 //! substrates — plus the structure-exploiting kernels that replaced
 //! them on the hot path (packed-symmetric Joseph, closed-form 2x2
-//! solve) and the lockstep lane filter at 1/2/4/8 lanes.
+//! solve), the structured measurement kernels every gate and IEKF
+//! relinearization runs (model + Jacobian, `J P` and `S`) and the
+//! lockstep lane filter at 1/2/4/8 lanes.
 
-use boresight::arith::{Arith, F64Arith, F64ArithFast, QArith};
-use boresight::filter::{FilterConfig, GenericBoresightFilter};
+use boresight::arith::{Arith, F64Arith, F64ArithFast, QArith, SoftArith};
+use boresight::filter::{jp_and_s, FilterConfig, GenericBoresightFilter};
 use boresight::lanes::LaneIekf;
-use boresight::smallmat;
+use boresight::{model, smallmat};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mathx::{Vec2, Vec3, STANDARD_GRAVITY};
 use std::hint::black_box;
@@ -107,6 +109,35 @@ fn bench_structured<A: Arith + Default>(c: &mut Criterion, name: &str) {
     });
 }
 
+/// One evaluation of the structured measurement kernels at a
+/// filter-like linearization point: the model + Jacobian, then `J P`
+/// and `S` against a symmetric covariance.
+fn bench_measurement<A: Arith + Default>(c: &mut Criterion, name: &str) {
+    let mut a = A::default();
+    let x = [0.03, -0.02, 0.05, 0.01, -0.02].map(|v| a.num(v));
+    let f_b = [1.2, -0.8, STANDARD_GRAVITY].map(|v| a.num(v));
+    let p = mat5(&mut a);
+    let scale = a.num(1e-3);
+    let p = smallmat::scale(&mut a, &p, scale);
+    let r = a.num(4.9e-5);
+    let (_, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, true);
+    c.bench_function(&format!("model/h_and_jacobian_{name}"), |bench| {
+        let mut a = A::default();
+        bench.iter(|| {
+            black_box(model::h_and_jacobian_generic(
+                &mut a,
+                black_box(&x),
+                black_box(&f_b),
+                true,
+            ))
+        })
+    });
+    c.bench_function(&format!("filter/jp_and_s_{name}"), |bench| {
+        let mut a = A::default();
+        bench.iter(|| black_box(jp_and_s(&mut a, black_box(&jac), black_box(&p), r, true)))
+    });
+}
+
 /// One full predict + update step of the lockstep lane filter at `L`
 /// lanes. Throughput per filter is the reported time divided by `L` —
 /// the lane win is the gap to `L` times the scalar row.
@@ -148,6 +179,8 @@ fn bench_smallmat(c: &mut Criterion) {
     bench_structured::<F64Arith>(c, "f64");
     bench_structured::<F64ArithFast>(c, "f64_uncounted");
     bench_structured::<QArith<16>>(c, "q16.16");
+    bench_measurement::<F64Arith>(c, "f64");
+    bench_measurement::<SoftArith>(c, "softfloat");
     bench_scalar_step(c);
     bench_lane_step::<2>(c);
     bench_lane_step::<4>(c);

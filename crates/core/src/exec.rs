@@ -75,7 +75,9 @@ pub fn resolve_workers(requested: usize) -> usize {
 ///
 /// Warm-up audits read this before and after a measurement window to
 /// prove a persistent pool serviced it without spawning — the property
-/// the fleet's epoch loop depends on. The counter only ever grows.
+/// the fleet's epoch loop depends on. The counter only ever grows, and
+/// any concurrently built pool moves it too: to audit one pool, read
+/// [`Pool::threads_spawned`].
 pub fn threads_spawned() -> u64 {
     POOL_THREADS_SPAWNED.load(Ordering::Relaxed)
 }
@@ -154,6 +156,8 @@ struct PoolShared {
     start: Condvar,
     /// The caller parks here until `remaining` hits zero.
     done: Condvar,
+    /// Threads spawned for this pool.
+    spawned: AtomicU64,
 }
 
 /// A persistent worker pool: `workers - 1` parked threads plus the
@@ -184,10 +188,12 @@ impl Pool {
             }),
             start: Condvar::new(),
             done: Condvar::new(),
+            spawned: AtomicU64::new(0),
         });
         let handles = (1..workers)
             .map(|id| {
                 POOL_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+                shared.spawned.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("exec-pool-{id}"))
@@ -201,6 +207,13 @@ impl Pool {
     /// Total workers, the caller included.
     pub fn workers(&self) -> usize {
         self.handles.len() + 1
+    }
+
+    /// Threads this pool has spawned over its life — the per-pool twin
+    /// of the process-wide [`threads_spawned`], unaffected by pools
+    /// other threads build meanwhile.
+    pub fn threads_spawned(&self) -> u64 {
+        self.shared.spawned.load(Ordering::Relaxed)
     }
 
     /// Runs `f(worker_id)` once on every worker — ids `0..workers()`,
@@ -433,7 +446,7 @@ mod tests {
     fn pool_runs_many_epochs_without_spawning() {
         let pool = Pool::new(4);
         assert_eq!(pool.workers(), 4);
-        let spawned = threads_spawned();
+        assert_eq!(pool.threads_spawned(), 3);
         let hits = AtomicUsize::new(0);
         for _ in 0..200 {
             pool.run_epoch(|_| {
@@ -442,8 +455,8 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::Relaxed), 200 * 4);
         assert_eq!(
-            threads_spawned(),
-            spawned,
+            pool.threads_spawned(),
+            3,
             "run_epoch must never spawn a thread"
         );
     }
@@ -462,11 +475,10 @@ mod tests {
 
     #[test]
     fn single_worker_pool_runs_inline() {
-        let spawned = threads_spawned();
         let pool = Pool::new(1);
         pool.run_epoch(|worker| assert_eq!(worker, 0));
         assert_eq!(pool.map(vec![1, 2, 3], |x: i32| x * 10), vec![10, 20, 30]);
-        assert_eq!(threads_spawned(), spawned, "a 1-worker pool spawns nothing");
+        assert_eq!(pool.threads_spawned(), 0, "a 1-worker pool spawns nothing");
     }
 
     #[test]

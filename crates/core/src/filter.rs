@@ -17,17 +17,21 @@
 //! every scalar operation through the substrate, with the linear
 //! algebra shared with the 3-state ablation filter via
 //! [`crate::smallmat`]. The hot path is *structure-exploiting*: one
-//! fused trig/Jacobian evaluation per linearization point, the gate
-//! pass reused as IEKF iteration 0, an exactly symmetric `P` (so
-//! `P J^T` is a transposition of `J P`), a closed-form 2x2 innovation
-//! solve and a rank-2 packed Joseph update — every saved multiply is a
-//! saved cycle in the Softfloat/fixed-point ledgers, and the
+//! straight-line model + Jacobian evaluation per linearization point
+//! over the Euler factors' known zeros and ones, `J P` and `S` over
+//! the Jacobian's ([`jp_and_s`]), the gate pass reused as IEKF
+//! iteration 0, an exactly symmetric `P` (so `P J^T` is a
+//! transposition of `J P`), a closed-form 2x2 innovation solve and a
+//! rank-2 packed Joseph update — every saved multiply is a saved cycle
+//! in the Softfloat/fixed-point ledgers, and the
 //! [`crate::arith::PhaseLedger`] attributes where the remaining ops
 //! land (predict / gate / update). [`BoresightFilter`] is the
 //! native-`f64` instantiation, pinned bit-for-bit against the
-//! reference trace in `tests/arith_full_filter.rs` (deliberately
-//! re-pinned for the kernel rewrite; the dense reference kernels stay
-//! compiled and cross-checked by proptest).
+//! reference trace in `tests/arith_full_filter.rs`. The structured
+//! measurement kernels are bit-identical to the dense formulation,
+//! which stays as the test-only oracle they are pinned against; the
+//! Joseph and solve kernels are cross-checked against the dense
+//! kernels by proptest within ulp bounds.
 
 use crate::arith::{Arith, F64Arith, OpCounts, PhaseLedger};
 use crate::model::{self, Meas, State, StateCov, MEAS_DIM, STATE_DIM};
@@ -364,17 +368,16 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// substrate (the generic estimator's lever-arm and slope math
     /// produces it there).
     ///
-    /// This is the structure-exploiting hot path: one fused
-    /// trig/Jacobian evaluation per linearization point
-    /// ([`model::h_and_jacobian_generic`]), the gate-pass model reused
-    /// verbatim for IEKF iteration 0 (its linearization point *is* the
-    /// prior), `S` accumulated in packed symmetric form, the 2x2
-    /// innovation solved closed-form ([`smallmat::inverse2_sym`]),
-    /// `P J^T` read off `J P` by transposition (valid because `P` is
-    /// kept exactly symmetric) and the Joseph update specialized to
-    /// the rank-2 measurement ([`smallmat::joseph_update_sym`]). The
-    /// dense reference kernels remain in [`crate::smallmat`] and the
-    /// optimized path is cross-checked against them by proptest.
+    /// This is the structure-exploiting hot path: one straight-line
+    /// model + Jacobian evaluation per linearization point
+    /// ([`model::h_and_jacobian_generic`]), `J P` and the symmetric `S`
+    /// over the Jacobian's zeros and ones ([`jp_and_s`]), the gate-pass
+    /// model reused verbatim for IEKF iteration 0 (its linearization
+    /// point *is* the prior), the 2x2 innovation solved closed-form
+    /// ([`smallmat::inverse2_sym`]), `P J^T` read off `J P` by
+    /// transposition (valid because `P` is kept exactly symmetric) and
+    /// the Joseph update specialized to the rank-2 measurement
+    /// ([`smallmat::joseph_update_sym`]).
     pub fn update_t(&mut self, z: Meas, f_b: [A::T; 3], time_s: f64) -> KalmanUpdate {
         let gate_before = ledger_snapshot(&self.arith);
         let r = self.config.measurement_sigma.powi(2);
@@ -387,10 +390,9 @@ impl<A: Arith> GenericBoresightFilter<A> {
 
         // First-pass innovation and its sigma: this is what the
         // residual monitor sees (z minus the prior prediction).
-        let (h0, jac0) = model_at(a, estimate_bias, &x_pred, &f_b);
+        let (h0, jac0) = model::h_and_jacobian_generic(a, &x_pred, &f_b, estimate_bias);
         let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
-        let jp0 = smallmat::mul(a, &jac0, &self.p);
-        let s0 = smallmat::innovation_cov(a, &jp0, &jac0, r_t);
+        let (jp0, s0) = jp_and_s(a, &jac0, &self.p, r_t, estimate_bias);
         let m0 = a.max(s0[0][0], zero);
         let sig0 = a.sqrt(m0);
         let m1 = a.max(s0[1][1], zero);
@@ -441,11 +443,8 @@ impl<A: Arith> GenericBoresightFilter<A> {
         let mut gain: Option<[[A::T; MEAS_DIM]; STATE_DIM]> = None;
         for iter in 0..iterations {
             if iter > 0 {
-                let (h, j) = model_at(a, estimate_bias, &x_i, &f_b);
-                h_i = h;
-                jac = j;
-                jp = smallmat::mul(a, &jac, &self.p);
-                s = smallmat::innovation_cov(a, &jp, &jac, r_t);
+                (h_i, jac) = model::h_and_jacobian_generic(a, &x_i, &f_b, estimate_bias);
+                (jp, s) = jp_and_s(a, &jac, &self.p, r_t, estimate_bias);
             }
             let s_inv = match smallmat::inverse2_sym(a, &s) {
                 Some(inv) => inv,
@@ -628,24 +627,63 @@ fn clamp_sym<A: Arith>(a: &mut A, x: A::T, lim: A::T) -> A::T {
     }
 }
 
-/// Fused model + Jacobian evaluation with the bias columns masked when
-/// bias estimation is disabled. Shared with the lockstep lane filter
-/// ([`crate::lanes::LaneIekf`]), whose per-lane values must mirror
-/// this exact sequence.
+/// `J P` and the innovation covariance `S = J P J^T + r I` for a
+/// Jacobian `jac` of [`model::h_and_jacobian_generic`]'s structure:
+/// `jac[0][0]` is a literal zero and the bias columns are the 0/1
+/// selector `estimate_bias` picks.
+///
+/// Specializes the dense `smallmat::mul(jac, p)` +
+/// `smallmat::innovation_cov` pair to that structure under the model
+/// kernel's exactness rules (dense order, literal-zero terms dropped,
+/// literal-one terms added, first term a `mul`), so the result is
+/// **bit-identical** to the pair on every substrate (on IEEE substrates
+/// up to the sign of an exactly-zero entry, as for the model kernel):
+/// 33 multiplies and fused multiply-adds instead of 65. `S` is
+/// computed on and above the diagonal and mirrored. Both filters call
+/// it at the gate and at every IEKF relinearization, so the lane
+/// filter's parity holds by construction.
 #[allow(clippy::type_complexity)]
-pub(crate) fn model_at<A: Arith>(
+pub fn jp_and_s<A: Arith>(
     a: &mut A,
+    jac: &[[A::T; STATE_DIM]; MEAS_DIM],
+    p: &[[A::T; STATE_DIM]; STATE_DIM],
+    r: A::T,
     estimate_bias: bool,
-    x: &[A::T; STATE_DIM],
-    f_b: &[A::T; 3],
-) -> ([A::T; MEAS_DIM], [[A::T; STATE_DIM]; MEAS_DIM]) {
-    let (h, mut jac) = model::h_and_jacobian_generic(a, x, f_b);
-    if !estimate_bias {
-        let zero = a.num(0.0);
-        jac[0][3] = zero;
-        jac[1][4] = zero;
-    }
-    (h, jac)
+) -> ([[A::T; STATE_DIM]; MEAS_DIM], [[A::T; MEAS_DIM]; MEAS_DIM]) {
+    let [j0, j1] = jac;
+    let jp0: [A::T; STATE_DIM] = std::array::from_fn(|k| {
+        let t = a.mul(j0[1], p[1][k]);
+        let t = a.fma(j0[2], p[2][k], t);
+        if estimate_bias {
+            a.add(t, p[3][k])
+        } else {
+            t
+        }
+    });
+    let jp1: [A::T; STATE_DIM] = std::array::from_fn(|k| {
+        let t = a.mul(j1[0], p[0][k]);
+        let t = a.fma(j1[1], p[1][k], t);
+        let t = a.fma(j1[2], p[2][k], t);
+        if estimate_bias {
+            a.add(t, p[4][k])
+        } else {
+            t
+        }
+    });
+    let t = a.mul(jp0[1], j0[1]);
+    let t = a.fma(jp0[2], j0[2], t);
+    let t = if estimate_bias { a.add(t, jp0[3]) } else { t };
+    let s00 = a.add(t, r);
+    let t = a.mul(jp0[0], j1[0]);
+    let t = a.fma(jp0[1], j1[1], t);
+    let t = a.fma(jp0[2], j1[2], t);
+    let s01 = if estimate_bias { a.add(t, jp0[4]) } else { t };
+    let t = a.mul(jp1[0], j1[0]);
+    let t = a.fma(jp1[1], j1[1], t);
+    let t = a.fma(jp1[2], j1[2], t);
+    let t = if estimate_bias { a.add(t, jp1[4]) } else { t };
+    let s11 = a.add(t, r);
+    ([jp0, jp1], [[s00, s01], [s01, s11]])
 }
 
 #[cfg(test)]

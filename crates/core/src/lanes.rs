@@ -34,8 +34,8 @@
 
 use crate::arith::{Arith, LaneOps, LaneSpec};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
-use crate::filter::{model_at, FilterConfig, KalmanUpdate};
-use crate::model::{MEAS_DIM, STATE_DIM};
+use crate::filter::{jp_and_s, FilterConfig, KalmanUpdate};
+use crate::model::{self, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
 use crate::smallmat;
@@ -395,10 +395,9 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
 
         // --- Gate pass (identical instruction stream to the scalar
         // filter; decisions extracted per lane) -----------------------
-        let (h0, jac0) = model_at(a, estimate_bias, &x_pred, &f_b);
+        let (h0, jac0) = model::h_and_jacobian_generic(a, &x_pred, &f_b, estimate_bias);
         let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
-        let jp0 = smallmat::mul(a, &jac0, &self.p);
-        let s0 = smallmat::innovation_cov(a, &jp0, &jac0, r_t);
+        let (jp0, s0) = jp_and_s(a, &jac0, &self.p, r_t, estimate_bias);
         let m0 = a.max(s0[0][0], zero);
         let sig0 = a.sqrt(m0);
         let m1 = a.max(s0[1][1], zero);
@@ -441,11 +440,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                 break;
             }
             if iter > 0 {
-                let (h, j) = model_at(a, estimate_bias, &x_i, &f_b);
-                h_i = h;
-                jac = j;
-                jp = smallmat::mul(a, &jac, &self.p);
-                s = smallmat::innovation_cov(a, &jp, &jac, r_t);
+                (h_i, jac) = model::h_and_jacobian_generic(a, &x_i, &f_b, estimate_bias);
+                (jp, s) = jp_and_s(a, &jac, &self.p, r_t, estimate_bias);
             }
             let active: [bool; L] = std::array::from_fn(|lane| !frozen[lane]);
             let s_inv = inverse2_sym_lanes(a, &s, &mut rejectd, &mut frozen, &active);

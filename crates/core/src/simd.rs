@@ -30,6 +30,11 @@
 //! [`crate::arith::LaneArith`]'s collective comparisons, so
 //! [`crate::lanes::LaneIekf`] masks divergence identically over either
 //! lane substrate.
+//!
+//! The packed lane ops are `#[inline(always)]`. The measurement kernels are
+//! long straight-line bodies of lane ops, and with plain `#[inline]`
+//! hints the explicit lanes lost their lead over the autovectorized
+//! baseline there.
 
 use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts};
 use std::ops::{Index, IndexMut};
@@ -67,14 +72,14 @@ impl<const L: usize> F64Lanes<L> {
 impl<const L: usize> Index<usize> for F64Lanes<L> {
     type Output = f64;
 
-    #[inline]
+    #[inline(always)]
     fn index(&self, lane: usize) -> &f64 {
         &self.0[lane]
     }
 }
 
 impl<const L: usize> IndexMut<usize> for F64Lanes<L> {
-    #[inline]
+    #[inline(always)]
     fn index_mut(&mut self, lane: usize) -> &mut f64 {
         &mut self.0[lane]
     }
@@ -88,7 +93,7 @@ mod backend {
 
     macro_rules! packed_binop {
         ($name:ident, $packed:ident, $scalar:expr) => {
-            #[inline]
+            #[inline(always)]
             pub fn $name<const L: usize>(a: &[f64; L], b: &[f64; L]) -> [f64; L] {
                 let mut out = [0.0_f64; L];
                 let mut i = 0;
@@ -118,7 +123,7 @@ mod backend {
     packed_binop!(mul, _mm_mul_pd, |x: f64, y: f64| x * y);
     packed_binop!(div, _mm_div_pd, |x: f64, y: f64| x / y);
 
-    #[inline]
+    #[inline(always)]
     pub fn sqrt<const L: usize>(a: &[f64; L]) -> [f64; L] {
         let mut out = [0.0_f64; L];
         let mut i = 0;
@@ -137,7 +142,7 @@ mod backend {
         out
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn neg<const L: usize>(a: &[f64; L]) -> [f64; L] {
         let mut out = [0.0_f64; L];
         let mut i = 0;
@@ -158,7 +163,7 @@ mod backend {
         out
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn abs<const L: usize>(a: &[f64; L]) -> [f64; L] {
         let mut out = [0.0_f64; L];
         let mut i = 0;
@@ -179,7 +184,7 @@ mod backend {
         out
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn lt_mask<const L: usize>(a: &[f64; L], b: &[f64; L]) -> [bool; L] {
         let mut out = [false; L];
         let mut i = 0;
@@ -207,7 +212,7 @@ mod backend {
     /// also multiply-then-add — this just skips materializing the
     /// intermediate product array, which matters because the MAC is
     /// the hottest op in the matrix kernels.
-    #[inline]
+    #[inline(always)]
     pub fn fma<const L: usize>(a: &[f64; L], b: &[f64; L], c: &[f64; L]) -> [f64; L] {
         let mut out = [0.0_f64; L];
         let mut i = 0;
@@ -382,7 +387,7 @@ pub struct SimdArith<const L: usize> {
 impl<const L: usize> Arith for SimdArith<L> {
     type T = F64Lanes<L>;
 
-    #[inline]
+    #[inline(always)]
     fn num(&mut self, x: f64) -> F64Lanes<L> {
         F64Lanes::splat(x)
     }
@@ -391,52 +396,52 @@ impl<const L: usize> Arith for SimdArith<L> {
         x.0[0]
     }
 
-    #[inline]
+    #[inline(always)]
     fn add(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::add(&a.0, &b.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn sub(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::sub(&a.0, &b.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn mul(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::mul(&a.0, &b.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn div(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::div(&a.0, &b.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn sqrt(&mut self, a: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::sqrt(&a.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn neg(&mut self, a: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::neg(&a.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn abs(&mut self, a: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::abs(&a.0))
     }
 
-    #[inline]
+    #[inline(always)]
     fn lt(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> bool {
         backend::lt_mask(&a.0, &b.0).iter().all(|&m| m)
     }
 
-    #[inline]
+    #[inline(always)]
     fn eq(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> bool {
         (0..L).all(|i| a.0[i] == b.0[i])
     }
 
-    #[inline]
+    #[inline(always)]
     fn max(&mut self, a: F64Lanes<L>, b: F64Lanes<L>) -> F64Lanes<L> {
         // Per-lane `f64::max`, NOT `maxpd`: the packed instruction's
         // NaN and signed-zero behaviour differs from `f64::max`, which
@@ -448,7 +453,7 @@ impl<const L: usize> Arith for SimdArith<L> {
     /// trait default (a fused `vfmadd` rounds once and would diverge
     /// from the scalar `F64Arith` stream), but in one array traversal
     /// instead of two chained ops.
-    #[inline]
+    #[inline(always)]
     fn fma(&mut self, a: F64Lanes<L>, b: F64Lanes<L>, c: F64Lanes<L>) -> F64Lanes<L> {
         F64Lanes(backend::fma(&a.0, &b.0, &c.0))
     }

@@ -322,7 +322,10 @@ pub fn joseph_update<A: Arith, const N: usize, const M: usize>(
 }
 
 /// Innovation covariance `S = (J P) J^T + r I` from the precomputed
-/// product `jp = J P`, exploiting the symmetry of `P`: only the upper
+/// product `jp = J P` for a dense `J` — the test-only reference for
+/// [`crate::filter::jp_and_s`], which specializes it to the
+/// measurement Jacobian's known zeros and ones. Exploits the symmetry
+/// of `P`: only the upper
 /// triangle of the `M x M` result is accumulated (same mathx order as
 /// [`mul_nt`] entry by entry) and mirrored, and the diagonal adds `r`
 /// directly instead of multiplying out a scaled identity. For an
@@ -331,6 +334,7 @@ pub fn joseph_update<A: Arith, const N: usize, const M: usize>(
 /// the mirrored strict-lower entries differ from their independently
 /// accumulated dense counterparts by at most the dot-product rounding
 /// spread (~1 scaled ulp).
+#[cfg(any(test, feature = "test-support"))]
 pub fn innovation_cov<A: Arith, const N: usize, const M: usize>(
     a: &mut A,
     jp: &[[A::T; N]; M],

@@ -14,8 +14,11 @@
 //! dense reference kernels within the documented ulp bounds.
 
 use proptest::prelude::*;
-use sensor_fusion_fpga::fusion::arith::{Arith, F64Arith, SoftArith};
-use sensor_fusion_fpga::fusion::filter::{FilterConfig, GenericBoresightFilter};
+use sensor_fusion_fpga::fusion::arith::{
+    Arith, F32Arith, F64Arith, LaneArith, OpCounts, QArith, SoftArith,
+};
+use sensor_fusion_fpga::fusion::filter::{jp_and_s, FilterConfig, GenericBoresightFilter};
+use sensor_fusion_fpga::fusion::model::{self, reference};
 use sensor_fusion_fpga::fusion::scenario::{run_dynamic, run_static, RunResult, ScenarioConfig};
 use sensor_fusion_fpga::fusion::smallmat;
 use sensor_fusion_fpga::math::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
@@ -380,4 +383,287 @@ proptest! {
             );
         }
     }
+}
+
+/// A substrate whose values can be built from per-lane `f64` draws and
+/// compared bit for bit.
+///
+/// The sign of an IEEE zero is the one thing the comparison drops. The
+/// dense sums start from `+0`, so their zero results are `+0`; a
+/// structured sum starts with its first product, so an exactly-zero
+/// result whose products are all `-0` stays `-0` (e.g. `J[1][1]` at
+/// `phi = 0` with `f_x < 0`). The sign reaches no filter output: the
+/// bit-identity pins of the whole filter hold.
+trait ExactSubstrate: Arith + Clone + Default {
+    /// The value for `lanes` (scalar substrates take lane 0).
+    fn lift(&mut self, lanes: [f64; 4]) -> Self::T;
+    /// The exact bit pattern of every lane of `v`, zeros unsigned.
+    fn bits(&self, v: Self::T) -> Vec<u64>;
+}
+
+/// `bits` with the sign of a zero dropped.
+fn unsigned_zero(bits: u64, sign: u64) -> u64 {
+    if bits & !sign == 0 {
+        0
+    } else {
+        bits
+    }
+}
+
+impl ExactSubstrate for F64Arith {
+    fn lift(&mut self, lanes: [f64; 4]) -> f64 {
+        lanes[0]
+    }
+    fn bits(&self, v: f64) -> Vec<u64> {
+        vec![unsigned_zero(v.to_bits(), 1 << 63)]
+    }
+}
+
+impl ExactSubstrate for F32Arith {
+    fn lift(&mut self, lanes: [f64; 4]) -> f32 {
+        self.num(lanes[0])
+    }
+    fn bits(&self, v: f32) -> Vec<u64> {
+        vec![unsigned_zero(u64::from(v.to_bits()), 1 << 31)]
+    }
+}
+
+impl ExactSubstrate for QArith<16> {
+    fn lift(&mut self, lanes: [f64; 4]) -> Self::T {
+        self.num(lanes[0])
+    }
+    fn bits(&self, v: Self::T) -> Vec<u64> {
+        vec![u64::from(v.raw() as u32)]
+    }
+}
+
+impl ExactSubstrate for SoftArith {
+    fn lift(&mut self, lanes: [f64; 4]) -> Self::T {
+        self.num(lanes[0])
+    }
+    fn bits(&self, v: Self::T) -> Vec<u64> {
+        vec![unsigned_zero(v.0, 1 << 63)]
+    }
+}
+
+impl ExactSubstrate for LaneArith<F64Arith, 4> {
+    fn lift(&mut self, lanes: [f64; 4]) -> [f64; 4] {
+        lanes
+    }
+    fn bits(&self, v: [f64; 4]) -> Vec<u64> {
+        v.iter()
+            .map(|x| unsigned_zero(x.to_bits(), 1 << 63))
+            .collect()
+    }
+}
+
+/// Per-lane draws for one structured-kernel check.
+#[derive(Debug)]
+struct KernelCase {
+    x: [[f64; 4]; 5],
+    f_b: [[f64; 3]; 4],
+    p: [[[f64; 4]; 5]; 5],
+    r: f64,
+    estimate_bias: bool,
+}
+
+/// Builds a case from flat draws: angles within the trust region (an
+/// angle whose `zero_mask` bit is set is exactly zero in every lane),
+/// gravity-dominated forces and a symmetric `P = M M^T + d I`.
+fn kernel_case(
+    angles: &[f64],
+    biases: &[f64],
+    forces: &[f64],
+    m: &[f64],
+    zero_mask: u8,
+    r: f64,
+    estimate_bias: bool,
+) -> KernelCase {
+    let mut x = [[0.0; 4]; 5];
+    for lane in 0..4 {
+        for i in 0..3 {
+            if zero_mask & (1 << i) == 0 {
+                x[i][lane] = angles[lane * 3 + i];
+            }
+        }
+        x[3][lane] = biases[lane * 2];
+        x[4][lane] = biases[lane * 2 + 1];
+    }
+    let f_b = std::array::from_fn(|lane| {
+        [
+            forces[lane * 3],
+            forces[lane * 3 + 1],
+            9.80665 + forces[lane * 3 + 2],
+        ]
+    });
+    let mut p = [[[0.0; 4]; 5]; 5];
+    for lane in 0..4 {
+        for row in 0..5 {
+            for col in 0..5 {
+                let mut acc = if row == col { 1e-7 } else { 0.0 };
+                for k in 0..5 {
+                    acc += m[lane * 25 + row * 5 + k] * m[lane * 25 + col * 5 + k];
+                }
+                p[row][col][lane] = acc;
+            }
+        }
+    }
+    KernelCase {
+        x,
+        f_b,
+        p,
+        r,
+        estimate_bias,
+    }
+}
+
+/// Runs the structured model + Jacobian and `J P`/`S` kernels and their
+/// dense references on `A`, requiring identical bits and identical
+/// saturation counts.
+fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), TestCaseError> {
+    let mut a = A::default();
+    let x = case.x.map(|v| a.lift(v));
+    let f_b: [A::T; 3] = std::array::from_fn(|i| {
+        let lanes = std::array::from_fn(|lane| case.f_b[lane][i]);
+        a.lift(lanes)
+    });
+    let p = case.p.map(|row| row.map(|v| a.lift(v)));
+    let r = a.lift([case.r; 4]);
+    let mut dense = a.clone();
+
+    let (h, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, case.estimate_bias);
+    let (jp, s) = jp_and_s(&mut a, &jac, &p, r, case.estimate_bias);
+
+    let h_ref = reference::h_generic(&mut dense, &x, &f_b);
+    let mut jac_ref = reference::jacobian_generic(&mut dense, &x, &f_b);
+    if !case.estimate_bias {
+        let zero = dense.num(0.0);
+        jac_ref[0][3] = zero;
+        jac_ref[1][4] = zero;
+    }
+    let jp_ref = smallmat::mul(&mut dense, &jac_ref, &p);
+    let s_ref = smallmat::innovation_cov(&mut dense, &jp_ref, &jac_ref, r);
+
+    let name = a.name();
+    for row in 0..2 {
+        prop_assert_eq!(
+            a.bits(h[row]),
+            dense.bits(h_ref[row]),
+            "{} h[{}]",
+            name,
+            row
+        );
+        for col in 0..5 {
+            prop_assert_eq!(
+                a.bits(jac[row][col]),
+                dense.bits(jac_ref[row][col]),
+                "{} J[{}][{}]",
+                name,
+                row,
+                col
+            );
+            prop_assert_eq!(
+                a.bits(jp[row][col]),
+                dense.bits(jp_ref[row][col]),
+                "{} JP[{}][{}]",
+                name,
+                row,
+                col
+            );
+        }
+        for col in 0..2 {
+            prop_assert_eq!(
+                a.bits(s[row][col]),
+                dense.bits(s_ref[row][col]),
+                "{} S[{}][{}]",
+                name,
+                row,
+                col
+            );
+        }
+    }
+    prop_assert_eq!(a.saturations(), dense.saturations(), "{} saturations", name);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The structured measurement kernels are bit-identical to the
+    /// dense formulation they replace — model + Jacobian against
+    /// `h_generic` + `jacobian_generic` (bias columns masked when bias
+    /// estimation is off), `J P`/`S` against `smallmat::mul` +
+    /// `innovation_cov` — on every substrate the filter runs on,
+    /// including exactly-zero angles, where the factors' own zeros and
+    /// ones meet the dropped terms.
+    #[test]
+    fn structured_model_and_innovation_kernels_are_bit_identical_to_dense(
+        angles in prop::collection::vec(-0.3_f64..0.3, 12),
+        biases in prop::collection::vec(-0.3_f64..0.3, 8),
+        forces in prop::collection::vec(-6.0_f64..6.0, 12),
+        m in prop::collection::vec(-0.05_f64..0.05, 100),
+        zero_mask in 0u8..8,
+        r in 1e-6_f64..1e-3,
+        estimate_bias in any::<bool>(),
+    ) {
+        let case = kernel_case(&angles, &biases, &forces, &m, zero_mask, r, estimate_bias);
+        check_structured_kernels::<F64Arith>(&case)?;
+        check_structured_kernels::<F32Arith>(&case)?;
+        check_structured_kernels::<QArith<16>>(&case)?;
+        check_structured_kernels::<SoftArith>(&case)?;
+        check_structured_kernels::<LaneArith<F64Arith, 4>>(&case)?;
+    }
+}
+
+/// The op cost of one call of each structured kernel, pinned literally
+/// so an edit cannot silently regrow them. `QArith` counts a fused
+/// multiply-add as one op; the `f64` ledger counts its `mul` and `add`.
+#[test]
+fn structured_kernel_op_counts_are_pinned() {
+    fn ops<A: Arith + Default>(estimate_bias: bool) -> (OpCounts, OpCounts) {
+        let mut a = A::default();
+        let x = [0.03, -0.02, 0.05, 0.01, -0.02].map(|v| a.num(v));
+        let f_b = [0.8, -0.4, STANDARD_GRAVITY].map(|v| a.num(v));
+        let p: [[A::T; 5]; 5] = std::array::from_fn(|row| {
+            std::array::from_fn(|col| a.num(if row == col { 1e-3 } else { 1e-5 }))
+        });
+        let r = a.num(4.9e-5);
+        let start = a.counts();
+        let (_, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, estimate_bias);
+        let model_ops = a.counts().since(&start);
+        let start = a.counts();
+        let _ = jp_and_s(&mut a, &jac, &p, r, estimate_bias);
+        (model_ops, a.counts().since(&start))
+    }
+    let model_q = OpCounts {
+        trig: 3,
+        neg: 5,
+        mul: 25,
+        fma: 17,
+        add: 2,
+        ..OpCounts::default()
+    };
+    let jp_s_q = OpCounts {
+        mul: 13,
+        fma: 20,
+        add: 15,
+        ..OpCounts::default()
+    };
+    assert_eq!(ops::<QArith<16>>(true), (model_q, jp_s_q));
+    // Without bias states the selector columns drop their adds.
+    let jp_s_q_no_bias = OpCounts { add: 2, ..jp_s_q };
+    assert_eq!(ops::<QArith<16>>(false), (model_q, jp_s_q_no_bias));
+    let model_f64 = OpCounts {
+        trig: 3,
+        neg: 5,
+        mul: 42,
+        add: 19,
+        ..OpCounts::default()
+    };
+    let jp_s_f64 = OpCounts {
+        mul: 33,
+        add: 35,
+        ..OpCounts::default()
+    };
+    assert_eq!(ops::<F64Arith>(true), (model_f64, jp_s_f64));
 }
