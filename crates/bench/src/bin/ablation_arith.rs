@@ -30,8 +30,8 @@ use bench_suite::{
 use boresight::arith::{Arith, F32Arith, F64Arith, OpCounts, PhaseLedger, QArith, SoftArith};
 use boresight::estimator::GenericBoresightEstimator;
 use boresight::exec;
-use boresight::scenario::{RunResult, ScenarioConfig};
-use boresight::spec::{Substrate, TrajectorySpec};
+use boresight::scenario::RunResult;
+use boresight::spec::{ScenarioSpec, Substrate};
 use boresight::{ArithKf3, FusionSession};
 use fpga::softfloat::CycleCosts;
 use mathx::{rad_to_deg, EulerAngles};
@@ -83,9 +83,11 @@ fn read_ledger<A: Arith + Clone + 'static>(
 /// substrates outside the run-time [`Substrate`] enum (f32, the
 /// `Q<FRAC>` family) get the same measurement without widening the
 /// enum and every matrix gate built on it.
-fn run_full_arith<A: Arith + Clone + Default + 'static>(cfg: &ScenarioConfig) -> FullRun {
-    let table = TrajectorySpec::paper_tilt_table().lower(cfg.duration_s);
-    let mut session = FusionSession::iekf_from_scenario(table, cfg, A::default());
+fn run_full_arith<A: Arith + Clone + Default + 'static>(spec: &ScenarioSpec) -> FullRun {
+    let mut session = spec
+        .session_builder(spec.lower_trajectory())
+        .iekf(A::default(), spec.config().estimator)
+        .build();
     session.run_to_end();
     let label = session.backend_label();
     let (counts, cycles, phases) = read_ledger::<A>(&session);
@@ -100,11 +102,11 @@ fn run_full_arith<A: Arith + Clone + Default + 'static>(cfg: &ScenarioConfig) ->
 
 /// Runs the full 5-state IEKF over the paper's static scenario on one
 /// run-time-selected substrate.
-fn run_full(substrate: Substrate, cfg: &ScenarioConfig) -> FullRun {
+fn run_full(substrate: Substrate, spec: &ScenarioSpec) -> FullRun {
     match substrate {
-        Substrate::F64 => run_full_arith::<F64Arith>(cfg),
-        Substrate::Softfloat => run_full_arith::<SoftArith>(cfg),
-        Substrate::Q16_16 => run_full_arith::<QArith<16>>(cfg),
+        Substrate::F64 => run_full_arith::<F64Arith>(spec),
+        Substrate::Softfloat => run_full_arith::<SoftArith>(spec),
+        Substrate::Q16_16 => run_full_arith::<QArith<16>>(spec),
         // The ablation measures static substrates; the adaptive
         // supervisor has its own bench (`adaptive`).
         Substrate::Adaptive => unreachable!("ablation sweeps static substrates"),
@@ -232,27 +234,28 @@ fn main() {
     // The three substrate runs are independent (each owns its seeded
     // source), so they fan out over the worker pool; results come back
     // in substrate order and are bit-identical to the serial sweep.
-    let mut cfg = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -1.5, 2.5));
-    cfg.duration_s = n as f64 / ACC_RATE_HZ;
-    cfg.seed = 7;
+    let spec = ScenarioSpec::named("arith-ablation")
+        .with_truth(EulerAngles::from_degrees(2.0, -1.5, 2.5))
+        .with_duration(n as f64 / ACC_RATE_HZ)
+        .with_seed(7);
 
     let mut runs = exec::map_parallel(Substrate::all().to_vec(), args.workers, |substrate| {
-        run_full(substrate, &cfg)
+        run_full(substrate, &spec)
     });
     // The cheap substrates from the frontier sweep, measured on the
     // same scenario through the direct builder path: native f32 and
     // two Q-format points bracketing Q16.16 — Q8.24 (more fraction,
     // less headroom) and Q4.28 (a worked example of a range priced
     // below the problem; its saturation counter says why).
-    runs.push(run_full_arith::<F32Arith>(&cfg));
-    runs.push(run_full_arith::<QArith<24>>(&cfg));
-    runs.push(run_full_arith::<QArith<28>>(&cfg));
+    runs.push(run_full_arith::<F32Arith>(&spec));
+    runs.push(run_full_arith::<QArith<24>>(&spec));
+    runs.push(run_full_arith::<QArith<28>>(&spec));
 
     let reference_angles = runs[0].result.estimate.angles;
     // Per-sample, not per-accepted-update: gate-rejected samples still
     // cost their model/Jacobian/gating arithmetic, and the real-time
     // question is cycles per incoming ACC sample.
-    let samples = (cfg.duration_s * ACC_RATE_HZ).round().max(1.0);
+    let samples = (spec.duration_s * ACC_RATE_HZ).round().max(1.0);
     let mut rows = Vec::new();
     let mut substrates = Vec::new();
     for run in &runs {
@@ -306,7 +309,7 @@ fn main() {
     print_table(
         &format!(
             "Ablation A1-full: 5-state IEKF arithmetic (static scenario, {:.0} s at {ACC_RATE_HZ} Hz)",
-            cfg.duration_s
+            spec.duration_s
         ),
         &[
             "substrate",
@@ -363,13 +366,13 @@ fn main() {
             "scenario".into(),
             Json::Str("static tilt-table observability sequence".into()),
         ),
-        ("duration_s".into(), Json::Num(cfg.duration_s)),
+        ("duration_s".into(), Json::Num(spec.duration_s)),
         ("acc_rate_hz".into(), Json::Num(ACC_RATE_HZ)),
         ("sabre_clock_hz".into(), Json::Num(SABRE_CLOCK_HZ)),
         (
             "truth_deg".into(),
             Json::Arr(
-                cfg.true_misalignment
+                spec.truth
                     .to_degrees()
                     .iter()
                     .map(|d| Json::Num(*d))

@@ -12,7 +12,9 @@
 //! Run with `cargo run --release -p bench_suite --bin figure8`.
 
 use bench_suite::{print_table, write_csv};
-use boresight::scenario::{run_dynamic, run_static, RunResult, ScenarioConfig};
+use boresight::estimator::EstimatorConfig;
+use boresight::scenario::RunResult;
+use boresight::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
 use mathx::EulerAngles;
 
 fn dump(name: &str, result: &RunResult) {
@@ -60,28 +62,38 @@ fn main() {
         .unwrap_or(300.0);
     let truth = EulerAngles::from_degrees(2.0, -2.0, 2.0);
 
+    // Every run holds its tuning fixed (no monitor) for the figure.
+    let fixed = |mut tuning: EstimatorConfig| {
+        tuning.monitor = None;
+        TuningSpec::Custom(tuning)
+    };
+
     // Static run: static tuning, residuals inside the envelope.
-    let mut static_cfg = ScenarioConfig::static_test(truth);
-    static_cfg.duration_s = duration;
-    static_cfg.seed = 301;
-    static_cfg.estimator.monitor = None; // fixed tuning for the figure
-    let static_run = run_static(&static_cfg);
+    let static_run = ScenarioSpec::named("figure8-static")
+        .with_truth(truth)
+        .with_duration(duration)
+        .with_seed(301)
+        .with_tuning(fixed(EstimatorConfig::paper_static()))
+        .run();
 
+    // The dynamic test (urban drive, passenger-car vibration) on the
+    // dynamic tuning with measurement sigma `r`.
+    let dynamic = |r| {
+        let mut tuning = EstimatorConfig::paper_dynamic();
+        tuning.filter.measurement_sigma = r;
+        ScenarioSpec::named("figure8-dynamic")
+            .with_truth(truth)
+            .with_trajectory(TrajectorySpec::Urban)
+            .with_environment(EnvironmentSpec::passenger_car())
+            .with_duration(duration)
+            .with_seed(302)
+            .with_tuning(fixed(tuning))
+            .run()
+    };
     // Dynamic run with the *static* tuning: envelope breached.
-    let mut mistuned_cfg = ScenarioConfig::dynamic_test(truth);
-    mistuned_cfg.duration_s = duration;
-    mistuned_cfg.seed = 302;
-    mistuned_cfg.estimator.filter.measurement_sigma = 0.005;
-    mistuned_cfg.estimator.monitor = None;
-    let mistuned_run = run_dynamic(&mistuned_cfg);
-
+    let mistuned_run = dynamic(0.005);
     // Dynamic run retuned to >= 0.015 (the paper's fix).
-    let mut retuned_cfg = ScenarioConfig::dynamic_test(truth);
-    retuned_cfg.duration_s = duration;
-    retuned_cfg.seed = 302;
-    retuned_cfg.estimator.filter.measurement_sigma = 0.015;
-    retuned_cfg.estimator.monitor = None;
-    let retuned_run = run_dynamic(&retuned_cfg);
+    let retuned_run = dynamic(0.015);
 
     dump("figure8_static.csv", &static_run);
     dump("figure8_dynamic_mistuned.csv", &mistuned_run);

@@ -10,19 +10,8 @@
 //! conversion, not just the host reference.
 
 use bench_suite::{print_table, write_csv};
-use boresight::scenario::{RunResult, ScenarioConfig};
-use boresight::spec::{Substrate, TrajectorySpec};
+use boresight::spec::{EnvironmentSpec, ScenarioSpec, Substrate, TrajectorySpec, TuningSpec};
 use mathx::EulerAngles;
-
-fn run_over(cfg: &ScenarioConfig, substrate: &str) -> RunResult {
-    let profile = TrajectorySpec::Urban.lower(cfg.duration_s);
-    let substrate = Substrate::parse(substrate).unwrap_or_else(|| {
-        panic!("unknown substrate `{substrate}` (use f64, softfloat or q16.16)")
-    });
-    let mut session = substrate.iekf_from_scenario(&profile, cfg);
-    session.run_to_end();
-    session.into_result()
-}
 
 fn main() {
     let duration = std::env::args()
@@ -31,10 +20,17 @@ fn main() {
         .unwrap_or(300.0);
     let substrate = std::env::args().nth(2).unwrap_or_else(|| "f64".into());
     let truth = EulerAngles::from_degrees(3.0, -2.0, 2.5);
-    let mut cfg = ScenarioConfig::dynamic_test(truth);
-    cfg.duration_s = duration;
-    cfg.seed = 401;
-    let result = run_over(&cfg, &substrate);
+    let result = ScenarioSpec::named("figure9")
+        .with_truth(truth)
+        .with_trajectory(TrajectorySpec::Urban)
+        .with_environment(EnvironmentSpec::passenger_car())
+        .with_tuning(TuningSpec::Dynamic)
+        .with_duration(duration)
+        .with_seed(401)
+        .with_substrate(Substrate::parse(&substrate).unwrap_or_else(|| {
+            panic!("unknown substrate `{substrate}` (use f64, softfloat or q16.16)")
+        }))
+        .run();
 
     let t: Vec<f64> = result.estimates.iter().map(|p| p.time_s).collect();
     let columns: Vec<Vec<f64>> = (0..3)

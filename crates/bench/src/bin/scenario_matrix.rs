@@ -14,8 +14,8 @@
 //! (default 40, CI smoke uses 8) overrides every catalog entry — the
 //! long-haul scenario alone is an hour at full length. Cells run on
 //! the worker pool by default (one worker per core; `--workers 1`
-//! forces the serial interleaved sweep — the report is bit-identical
-//! either way, pinned by test). `--seed N` re-derives every
+//! runs every cell on the calling thread — the report is
+//! bit-identical either way, pinned by test). `--seed N` re-derives every
 //! scenario's noise seed from `N` (scenario-index offset keeps the
 //! realizations distinct); the effective seed — the override or the
 //! catalog's committed per-scenario seeds — is printed in the report
@@ -137,11 +137,7 @@ fn main() {
     let suite = ScenarioSuite::new(scenarios)
         .with_substrates(&substrates)
         .with_duration(duration);
-    let report = if workers <= 1 {
-        suite.run()
-    } else {
-        suite.run_parallel(workers)
-    };
+    let report = suite.run_parallel(workers);
     println!("ran {} cells on {workers} worker(s)", report.cells.len());
 
     let rows: Vec<Vec<String>> = report

@@ -16,8 +16,8 @@
 
 use bench_suite::{print_table, BenchArgs};
 use boresight::exec;
-use boresight::scenario::{run, RunResult, ScenarioConfig};
-use boresight::spec::TrajectorySpec;
+use boresight::scenario::RunResult;
+use boresight::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
 use mathx::EulerAngles;
 
 /// Automotive alignment requirement used for the margin column, deg.
@@ -52,29 +52,31 @@ fn main() {
         ("static C", EulerAngles::from_degrees(4.0, 1.0, 3.0), 103),
     ];
     let dynamic_truth = EulerAngles::from_degrees(2.5, -2.0, 3.0);
-    let mut cases: Vec<(&str, ScenarioConfig, TrajectorySpec)> = static_cases
+    let mut cases: Vec<ScenarioSpec> = static_cases
         .iter()
         .map(|&(label, truth, seed)| {
-            let mut cfg = ScenarioConfig::static_test(truth);
-            cfg.duration_s = duration;
-            cfg.seed = seed;
-            (label, cfg, TrajectorySpec::paper_tilt_table())
+            ScenarioSpec::named(label)
+                .with_truth(truth)
+                .with_duration(duration)
+                .with_seed(seed)
         })
         .collect();
     for (label, seed, trajectory) in [
         ("dynamic run 1", 201u64, TrajectorySpec::Urban),
         ("dynamic run 2", 202u64, TrajectorySpec::Highway),
     ] {
-        let mut cfg = ScenarioConfig::dynamic_test(dynamic_truth);
-        cfg.duration_s = duration;
-        cfg.seed = seed;
-        cases.push((label, cfg, trajectory));
+        cases.push(
+            ScenarioSpec::named(label)
+                .with_truth(dynamic_truth)
+                .with_trajectory(trajectory)
+                .with_environment(EnvironmentSpec::passenger_car())
+                .with_tuning(TuningSpec::Dynamic)
+                .with_duration(duration)
+                .with_seed(seed),
+        );
     }
     let rows: Vec<Vec<String>> =
-        exec::map_parallel(cases, args.workers, |(label, cfg, trajectory)| {
-            let result = run(trajectory.lower(cfg.duration_s), &cfg);
-            row(label, &result)
-        });
+        exec::map_parallel(cases, args.workers, |spec| row(&spec.name, &spec.run()));
 
     print_table(
         &format!("Table 1: static (top) & dynamic (bottom) tests, {duration:.0} s runs"),

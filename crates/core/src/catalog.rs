@@ -5,10 +5,11 @@
 //! extra faults) before lowering it. [`all`] returns the whole
 //! catalog; [`by_name`] looks one up.
 //!
-//! The first two entries reproduce the paper's procedures exactly
-//! (their lowered [`crate::scenario::ScenarioConfig`]s are pinned
-//! bit-identical to `ScenarioConfig::static_test` / `dynamic_test` by
-//! test); the rest are the coverage the paper never had — drive
+//! The first two entries are the paper's procedures: the static
+//! tilt-table test is [`ScenarioSpec::named`]'s baseline, and the
+//! dynamic drive adds the urban trajectory, passenger-car vibration
+//! and dynamic tuning (both lowered forms are pinned field by field
+//! by test). The rest are the coverage the paper never had — drive
 //! styles, road surfaces, vehicle classes, channel faults and a
 //! long-haul drift run.
 //!

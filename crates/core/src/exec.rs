@@ -8,7 +8,7 @@
 //! busy even when cell costs differ by orders of magnitude (the
 //! Softfloat column costs ~50x the native one). Results come back in
 //! input order regardless of completion order, so parallel callers
-//! observe exactly what the serial loop would have produced — the
+//! observe exactly what a serial loop would have produced — the
 //! property [`crate::spec::ScenarioSuite::run_parallel`] pins with a
 //! bit-identity test.
 //!

@@ -1027,24 +1027,21 @@ mod tests {
 
     #[test]
     fn lane_bank_runs_in_a_session() {
-        use crate::scenario::ScenarioConfig;
         use crate::session::{ChannelConfig, FusionSession, SyntheticSource};
-        use vehicle::TiltTable;
+        use crate::spec::ScenarioSpec;
 
         let truth = EulerAngles::from_degrees(2.0, -1.0, 1.5);
-        let cfg = {
-            let mut c = ScenarioConfig::static_test(truth);
-            c.duration_s = 30.0;
-            c
-        };
+        let spec = ScenarioSpec::named("lane-bank")
+            .with_truth(truth)
+            .with_duration(30.0);
+        let cfg = spec.config();
         let channel = ChannelConfig {
             misalignment: truth,
             noise_sigma: 0.007,
             ..ChannelConfig::ideal()
         };
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
         let source = SyntheticSource::new(
-            &table,
+            spec.lower_trajectory(),
             cfg.dmu,
             cfg.vibration,
             cfg.acc_rate_hz,

@@ -26,10 +26,10 @@
 //!   [`FusionSession`] wires a pluggable [`SensorSource`], a
 //!   [`FusionBackend`] and any number of [`EventSink`]s around one
 //!   incremental event loop;
-//! * [`spec`] — the declarative scenario layer: a pure-data
-//!   [`ScenarioSpec`] composing trajectory, environment, channel,
-//!   tuning and arithmetic substrate, lowered to a session through
-//!   one [`spec::ScenarioSpec::into_session`] path, plus the
+//! * [`spec`] — the one way to describe and run a scenario: a
+//!   pure-data [`ScenarioSpec`] composing trajectory, environment,
+//!   channel, tuning and arithmetic substrate, lowered to a session
+//!   through one [`spec::ScenarioSpec::into_session`] path, plus the
 //!   [`spec::ScenarioSuite`] scenario × substrate sweep runner;
 //! * [`catalog`] — ≥10 named workloads (the paper's two procedures
 //!   plus drive styles, road surfaces, vehicle classes, channel-fault
@@ -37,7 +37,7 @@
 //! * [`exec`] — the vendored work-stealing-lite worker pool behind
 //!   [`spec::ScenarioSuite::run_parallel`]: whole sessions are `Send`,
 //!   so every scenario × substrate cell lowers and runs inside its
-//!   worker thread, bit-identical to the serial sweep;
+//!   worker thread, bit-identical for every worker count;
 //! * [`fuzz`] — the seeded scenario fuzzer: a replayable random
 //!   composer of [`ScenarioSpec`]s over every axis the declarative
 //!   layer exposes, with greedy shrinking toward the minimal spec
@@ -56,16 +56,14 @@
 //!   substrate (pinned by test);
 //! * [`json`] — the dependency-free JSON tree shared by the bench
 //!   reports and the fuzz corpus codec;
-//! * [`scenario`] — the static (tilt-table) and dynamic (drive)
-//!   test procedures producing Table-1/Figure-8/Figure-9 data, as thin
-//!   wrappers over [`session`] (and the lowering target [`spec`]
-//!   reuses);
+//! * [`scenario`] — the records around a run: [`ScenarioConfig`],
+//!   the flat form a [`ScenarioSpec`] lowers to, and [`RunResult`],
+//!   the Table-1/Figure-8/Figure-9 data a finished session yields;
 //! * [`arith`] — the arithmetic substrates (native f64, emulated
 //!   Softfloat with Sabre cycle accounting, saturating Q16.16 fixed
 //!   point) with shared per-op instrumentation, plus the 3-state
 //!   ablation filter; the *full* 5-state IEKF runs over any of them
-//!   through [`SessionBuilder::iekf`] or
-//!   [`SessionGroup::full_iekf_sweep`];
+//!   through [`spec::Substrate`] or [`SessionBuilder::iekf`];
 //! * [`simd`] — the explicit-vector `f64` lane substrate
 //!   ([`SimdArith`]) behind the same [`arith::Arith`] trait: SSE2
 //!   packed doubles on x86_64 under the `simd` cargo feature, with a
@@ -88,44 +86,48 @@
 //!
 //! # Quickstart
 //!
-//! A [`FusionSession`] streams sensor events through a fusion backend
-//! incrementally — build one from a scenario, step it as fast or as
-//! slowly as you like, and read the estimate at any point:
+//! Every run is described by a [`ScenarioSpec`]. [`ScenarioSpec::named`]
+//! starts from the paper's static tilt-table test; the batch path runs
+//! it to completion:
 //!
 //! ```
-//! use boresight::session::FusionSession;
-//! use boresight::scenario::ScenarioConfig;
+//! use boresight::spec::ScenarioSpec;
 //! use mathx::EulerAngles;
-//! use vehicle::TiltTable;
 //!
-//! let mut config = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -3.0, 1.5));
-//! config.duration_s = 30.0; // the paper records 300 s
-//! let table = TiltTable::observability_sequence(20.0, config.duration_s / 8.0);
-//! let mut session = FusionSession::from_scenario(&table, &config);
+//! let result = ScenarioSpec::named("tilt-table")
+//!     .with_truth(EulerAngles::from_degrees(2.0, -3.0, 1.5))
+//!     .with_duration(30.0) // the paper records 300 s
+//!     .run();
+//! assert!(result.max_error_deg() < 0.5);
+//! ```
+//!
+//! A [`FusionSession`] streams the same run incrementally — lower the
+//! spec to one, step it as fast or as slowly as you like, and read the
+//! estimate at any point. The paper's dynamic test is the same spec on
+//! an urban drive with passenger-car vibration and dynamic tuning:
+//!
+//! ```
+//! use boresight::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
+//! use mathx::EulerAngles;
+//!
+//! let spec = ScenarioSpec::named("drive")
+//!     .with_truth(EulerAngles::from_degrees(3.0, -2.0, 2.5))
+//!     .with_trajectory(TrajectorySpec::Urban)
+//!     .with_environment(EnvironmentSpec::passenger_car())
+//!     .with_tuning(TuningSpec::Dynamic)
+//!     .with_duration(30.0);
+//! let mut session = spec.into_session(spec.lower_trajectory());
 //! session.run_for(10.0);              // stream the first 10 s...
 //! let early = session.estimate();     // ...peek at the estimate...
 //! session.run_to_end();               // ...then finish the run
 //! let result = session.into_result();
-//! assert!(result.max_error_deg() < 0.5);
+//! assert!(result.max_error_deg().is_finite());
 //! assert!(early.updates < result.estimate.updates);
 //! ```
 //!
-//! The batch wrappers are still the shortest path to the paper's
-//! procedures:
-//!
-//! ```
-//! use boresight::scenario::{run_static, ScenarioConfig};
-//! use mathx::EulerAngles;
-//!
-//! let mut config = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -3.0, 1.5));
-//! config.duration_s = 30.0;
-//! let result = run_static(&config);
-//! assert!(result.max_error_deg() < 0.5);
-//! ```
-//!
-//! Workloads beyond the paper's two procedures are authored
-//! declaratively: compose a [`ScenarioSpec`], or pull a named one from
-//! the [`catalog`], and lower it to a session (or sweep the whole
+//! Workloads beyond the paper's two procedures come from the same
+//! layer: compose a [`ScenarioSpec`], or pull a named one from the
+//! [`catalog`], and lower it to a session (or sweep the whole
 //! scenario × substrate matrix with [`spec::ScenarioSuite`]):
 //!
 //! ```
@@ -193,7 +195,7 @@ pub use replay::{
     record_spec, replay_spec_session, Recording, RecordingSink, ReplayRecord, ReplaySource,
 };
 pub use report::{RunningRms, VehicleSummary};
-pub use scenario::{run, run_dynamic, run_static, RunResult, ScenarioConfig};
+pub use scenario::{RunResult, ScenarioConfig};
 pub use session::{
     ArithDivergence, ArithKf3, ChannelConfig, CommsChainSource, EventSink, FusionBackend,
     FusionSession, IntoSharedTrajectory, LinkFaultConfig, SensorEvent, SensorSource,

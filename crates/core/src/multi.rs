@@ -295,25 +295,22 @@ mod tests {
         // The same two-sensor rig as above, but driven by a
         // FusionSession over a two-channel synthetic source instead of
         // hand-fed samples.
-        use crate::scenario::ScenarioConfig;
         use crate::session::{ChannelConfig, FusionSession, SyntheticSource};
-        use vehicle::TiltTable;
+        use crate::spec::ScenarioSpec;
 
         let truth_a = EulerAngles::from_degrees(2.0, -1.0, 1.5);
         let truth_b = EulerAngles::from_degrees(-3.0, 2.0, -1.0);
-        let cfg = {
-            let mut c = ScenarioConfig::static_test(truth_a);
-            c.duration_s = 120.0;
-            c
-        };
+        let spec = ScenarioSpec::named("two-sensor-rig")
+            .with_truth(truth_a)
+            .with_duration(120.0);
+        let cfg = spec.config();
         let channel = |truth| ChannelConfig {
             misalignment: truth,
             noise_sigma: 0.007,
             ..ChannelConfig::ideal()
         };
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
         let source = SyntheticSource::new(
-            &table,
+            spec.lower_trajectory(),
             cfg.dmu,
             cfg.vibration,
             cfg.acc_rate_hz,

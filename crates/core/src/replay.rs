@@ -524,13 +524,11 @@ pub fn record_spec_over(
 /// trace decimation, fed from the captured stream. Running it to the
 /// end reproduces the original run bit for bit.
 pub fn replay_spec_session(spec: &ScenarioSpec, recording: &Recording) -> FusionSession {
-    let cfg = spec.config();
-    let builder = FusionSession::builder().source(recording.replay_source());
-    spec.substrate
-        .attach_iekf(builder, cfg.estimator)
-        .truth(cfg.true_misalignment)
-        .record_traces_sized(cfg.trace_decimation, recording.event_count())
-        .build()
+    let builder = spec.substrate.attach_iekf(
+        FusionSession::builder().source(recording.replay_source()),
+        spec.tuning.estimator_config(),
+    );
+    spec.finish(builder, recording.event_count()).build()
 }
 
 #[cfg(test)]

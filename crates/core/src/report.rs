@@ -121,14 +121,15 @@ impl RunningRms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_static, ScenarioConfig};
+    use crate::spec::ScenarioSpec;
 
     #[test]
     fn summary_matches_run_result_fields() {
         let truth = EulerAngles::from_degrees(2.0, -3.0, 1.5);
-        let mut cfg = ScenarioConfig::static_test(truth);
-        cfg.duration_s = 40.0;
-        let result = run_static(&cfg);
+        let result = ScenarioSpec::named("summary")
+            .with_truth(truth)
+            .with_duration(40.0)
+            .run();
         let summary = VehicleSummary::from_result(&result, 7, None);
         assert_eq!(summary.error_rms_deg, result.error_rms_deg());
         assert_eq!(summary.final_worst_error_deg, result.max_error_deg());
@@ -142,9 +143,10 @@ mod tests {
     #[test]
     fn health_rejects_non_finite_estimates() {
         let truth = EulerAngles::from_degrees(1.0, 1.0, 1.0);
-        let mut cfg = ScenarioConfig::static_test(truth);
-        cfg.duration_s = 30.0;
-        let result = run_static(&cfg);
+        let result = ScenarioSpec::named("health")
+            .with_truth(truth)
+            .with_duration(30.0)
+            .run();
         let mut summary = VehicleSummary::from_result(&result, 0, None);
         assert!(summary.is_healthy());
         summary.estimate.angles.pitch = f64::NAN;

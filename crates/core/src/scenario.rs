@@ -1,29 +1,22 @@
-//! Scenario harness: the paper's test procedure as code.
+//! Scenario records: what a scenario lowers to and what a run returns.
 //!
-//! Builds the full synthetic experiment — a motion truth source
-//! ([`vehicle::Trajectory`]), the DMU and ACC instrument models with
-//! the true mounting misalignment applied, road vibration, and the
-//! estimator — runs it for the configured duration (the paper records
-//! 300 s), and returns the traces every table and figure needs:
+//! Scenarios are authored as [`crate::spec::ScenarioSpec`]s. A spec
+//! lowers through [`crate::spec::ScenarioSpec::config`] to the flat
+//! [`ScenarioConfig`] record the instrument sources read, and a
+//! finished [`crate::session::FusionSession`] yields a [`RunResult`]:
 //! per-axis residuals with their 3-sigma bounds (Figure 8), the
 //! misalignment estimate trajectory with covariance (Figure 9), and
-//! final estimate vs truth with confidence (Table 1).
-//!
-//! Since the [`crate::session`] redesign these entry points are thin
-//! compat shims: the event loop lives in
-//! [`FusionSession`], and [`run`] just
-//! builds a session from the config and collects its [`RunResult`].
-//! Use the session API directly for incremental stepping, multiple
-//! concurrent runs or non-default backends.
+//! the final estimate vs truth with confidence (Table 1).
 
 use crate::estimator::{EstimatorConfig, MisalignmentEstimate};
-use crate::session::{FusionSession, IntoSharedTrajectory, LinkFaultConfig};
-use crate::spec::TrajectorySpec;
+use crate::session::LinkFaultConfig;
 use mathx::{rad_to_deg, EulerAngles, Vec2};
 use sensors::DmuConfig;
 use vehicle::VibrationConfig;
 
-/// Scenario configuration.
+/// The flat record a [`crate::spec::ScenarioSpec`] lowers to: every
+/// instrument, environment and tuning setting of one run, with the
+/// paper's sensor constants filled in.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
     /// The true mounting misalignment to inject (and later compare
@@ -57,58 +50,6 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Keep every n-th residual/estimate point in the trace (1 = all).
     pub trace_decimation: usize,
-}
-
-impl ScenarioConfig {
-    /// Shared base for every test procedure: paper sensor configs,
-    /// 300 s run, deterministic seed — the static/dynamic constructors
-    /// only override tuning and vibration.
-    fn base(true_misalignment: EulerAngles) -> Self {
-        // Tactical-grade IMU accelerometers (the BAE DMU is a cut above
-        // consumer parts): ~0.004 m/s^2 per-sample noise keeps the
-        // combined residual floor inside the paper's tuned
-        // 0.003-0.01 m/s^2 static range.
-        let mut dmu = DmuConfig::default();
-        dmu.accel.error.noise_std = 0.004;
-        Self {
-            true_misalignment,
-            true_acc_bias: Vec2::new([0.02, -0.015]),
-            duration_s: 300.0,
-            dmu,
-            acc_noise_sigma: 0.005,
-            acc_rate_hz: 200.0,
-            vibration: VibrationConfig::none(),
-            differential_vibration: 0.0,
-            estimator: EstimatorConfig::paper_static(),
-            link_faults: LinkFaultConfig::clean(),
-            seed: 0xB0B5,
-            trace_decimation: 10,
-        }
-    }
-
-    /// The paper's static test: tilt-table schedule, no vibration,
-    /// static filter tuning.
-    pub fn static_test(true_misalignment: EulerAngles) -> Self {
-        Self::base(true_misalignment)
-    }
-
-    /// The paper's dynamic test: passenger-car vibration and the
-    /// dynamic filter tuning.
-    pub fn dynamic_test(true_misalignment: EulerAngles) -> Self {
-        Self {
-            vibration: VibrationConfig::passenger_car(),
-            differential_vibration: 0.1,
-            estimator: EstimatorConfig::paper_dynamic(),
-            ..Self::base(true_misalignment)
-        }
-    }
-}
-
-impl Default for ScenarioConfig {
-    /// The static test procedure with no injected misalignment.
-    fn default() -> Self {
-        Self::base(EulerAngles::zero())
-    }
 }
 
 /// One point of the residual trace (Figure 8).
@@ -192,39 +133,25 @@ impl RunResult {
     }
 }
 
-/// Runs one scenario against a trajectory to completion.
-///
-/// Compat shim over the session layer: equivalent to building
-/// [`FusionSession::from_scenario`] and collecting
-/// [`FusionSession::into_result`]. Takes the trajectory by value,
-/// reference-to-clonable or `Arc` (see
-/// [`IntoSharedTrajectory`]).
-pub fn run(trajectory: impl IntoSharedTrajectory, config: &ScenarioConfig) -> RunResult {
-    FusionSession::from_scenario(trajectory, config).into_result()
-}
-
-/// Runs the paper's static test procedure (tilt-table observability
-/// sequence) with the given configuration.
-pub fn run_static(config: &ScenarioConfig) -> RunResult {
-    let table = TrajectorySpec::paper_tilt_table().lower(config.duration_s);
-    run(table, config)
-}
-
-/// Runs the paper's dynamic test procedure (urban drive profile).
-pub fn run_dynamic(config: &ScenarioConfig) -> RunResult {
-    let profile = TrajectorySpec::Urban.lower(config.duration_s);
-    run(profile, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
 
     fn short_static(truth: EulerAngles, seed: u64) -> RunResult {
-        let mut cfg = ScenarioConfig::static_test(truth);
-        cfg.duration_s = 80.0;
-        cfg.seed = seed;
-        run_static(&cfg)
+        ScenarioSpec::named("short-static")
+            .with_truth(truth)
+            .with_duration(80.0)
+            .with_seed(seed)
+            .run()
+    }
+
+    fn dynamic(truth: EulerAngles) -> ScenarioSpec {
+        ScenarioSpec::named("dynamic")
+            .with_truth(truth)
+            .with_trajectory(TrajectorySpec::Urban)
+            .with_environment(EnvironmentSpec::passenger_car())
+            .with_tuning(TuningSpec::Dynamic)
     }
 
     #[test]
@@ -248,9 +175,7 @@ mod tests {
     #[test]
     fn dynamic_run_converges_with_vibration() {
         let truth = EulerAngles::from_degrees(3.0, -2.0, 2.5);
-        let mut cfg = ScenarioConfig::dynamic_test(truth);
-        cfg.duration_s = 120.0;
-        let result = run_dynamic(&cfg);
+        let result = dynamic(truth).with_duration(120.0).run();
         assert!(
             result.max_error_deg() < 0.6,
             "errors {:?}",
@@ -264,10 +189,12 @@ mod tests {
         // sees vibration residuals breaching 3 sigma, and the monitor
         // raises R.
         let truth = EulerAngles::from_degrees(2.0, 2.0, 2.0);
-        let mut cfg = ScenarioConfig::dynamic_test(truth);
-        cfg.estimator.filter.measurement_sigma = 0.004; // static tuning
-        cfg.duration_s = 60.0;
-        let result = run_dynamic(&cfg);
+        let mut estimator = EstimatorConfig::paper_dynamic();
+        estimator.filter.measurement_sigma = 0.004; // static tuning
+        let result = dynamic(truth)
+            .with_tuning(TuningSpec::Custom(estimator))
+            .with_duration(60.0)
+            .run();
         assert!(result.retune_count > 0, "no retune fired");
         assert!(result.final_sigma > 0.004);
     }

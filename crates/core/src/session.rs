@@ -2,10 +2,8 @@
 //! workload in the crate.
 //!
 //! The paper's demonstrator is a *streaming* system — asynchronous
-//! DMU/ACC events flowing through a reconfigurable fusion core — but
-//! the original entry points (`scenario::run`, `system::run_system`,
-//! the bench binaries) each hard-wired their own batch event loop.
-//! This module owns that loop once, split into three pluggable roles:
+//! DMU/ACC events flowing through a reconfigurable fusion core. This
+//! module owns that event loop once, split into three pluggable roles:
 //!
 //! * [`SensorSource`] — produces timestamped [`SensorEvent`]s:
 //!   trajectory-driven synthetic instruments ([`SyntheticSource`]),
@@ -23,9 +21,11 @@
 //! session by a caller-chosen time slice, so any number of sessions
 //! (different scenarios, different arithmetic backends) can be batched
 //! or interleaved by a caller; [`SessionGroup`] does exactly that.
-//! [`FusionSession::run_to_end`] recovers the old batch behaviour, and
-//! `scenario::run`, `run_static`, `run_dynamic` and
-//! `system::run_system` are now thin wrappers over this module.
+//! [`FusionSession::run_to_end`] is the batch case. Scenarios reach
+//! this module through [`crate::spec::ScenarioSpec`], which lowers to a
+//! source, a backend and a trace recorder
+//! ([`crate::spec::ScenarioSpec::into_session`]); `system::run_system`
+//! is a session over the comms-chain source.
 //!
 //! # Threading and allocation
 //!
@@ -45,19 +45,19 @@
 //! allocated `Vec`s (pinned by the allocation-audit integration test).
 //!
 //! ```
-//! use boresight::session::{FusionSession, SyntheticSource};
-//! use boresight::scenario::ScenarioConfig;
+//! use boresight::estimator::EstimatorConfig;
+//! use boresight::session::FusionSession;
+//! use boresight::spec::ScenarioSpec;
 //! use mathx::EulerAngles;
-//! use vehicle::TiltTable;
 //!
-//! let mut config = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -3.0, 1.5));
-//! config.duration_s = 30.0;
-//! let table = TiltTable::observability_sequence(20.0, config.duration_s / 8.0);
+//! let spec = ScenarioSpec::named("tilt-table")
+//!     .with_truth(EulerAngles::from_degrees(2.0, -3.0, 1.5))
+//!     .with_duration(30.0);
 //! let mut session = FusionSession::builder()
-//!     .source(SyntheticSource::from_scenario(&table, &config))
-//!     .estimator(config.estimator)
-//!     .truth(config.true_misalignment)
-//!     .record_traces(config.trace_decimation)
+//!     .source_boxed(spec.into_source(spec.lower_trajectory()))
+//!     .estimator(EstimatorConfig::paper_static())
+//!     .truth(spec.truth)
+//!     .record_traces(spec.trace_decimation)
 //!     .build();
 //! while !session.is_finished() {
 //!     session.step(1.0); // one simulated second at a time
@@ -65,7 +65,7 @@
 //! assert!(session.into_result().max_error_deg() < 0.5);
 //! ```
 
-use crate::arith::{Arith, F64Arith, Kf3, QArith, SoftArith};
+use crate::arith::{Arith, Kf3};
 use crate::estimator::{
     BoresightEstimator, EstimatorConfig, GenericBoresightEstimator, MisalignmentEstimate,
 };
@@ -573,8 +573,8 @@ impl TraceRecorder {
 
 /// Byte-level fault rates applied to both serial links of a
 /// [`CommsChainSource`] — the [`comms::FaultInjector`] knobs (bit
-/// flips, drops, bursts), finally reachable from the session layer
-/// through [`crate::scenario::ScenarioConfig::link_faults`].
+/// flips, drops, bursts), set per scenario through
+/// [`crate::spec::ChannelSpec::Comms`].
 ///
 /// The default is a clean channel, which injects nothing and draws no
 /// randomness, so fault-free runs stay bit-identical to the
@@ -642,7 +642,7 @@ impl ChannelConfig {
     }
 
     /// The channel described by a [`ScenarioConfig`].
-    pub fn from_scenario(config: &ScenarioConfig) -> Self {
+    pub(crate) fn from_scenario(config: &ScenarioConfig) -> Self {
         Self {
             misalignment: config.true_misalignment,
             lever_arm: config.estimator.lever_arm,
@@ -678,8 +678,8 @@ impl Channel {
 
 /// Trajectory-driven synthetic instruments: the DMU model plus any
 /// number of ACC channels, with common (rigid-body) and differential
-/// (mount-flexure) road vibration — the source behind `scenario::run`
-/// and the multi-sensor workloads.
+/// (mount-flexure) road vibration — the source behind ideal-channel
+/// scenarios and the multi-sensor workloads.
 pub struct SyntheticSource {
     trajectory: Arc<dyn Trajectory>,
     rng: StdRng,
@@ -726,9 +726,12 @@ impl SyntheticSource {
     }
 
     /// The single-channel source described by a [`ScenarioConfig`] —
-    /// event-for-event what the batch `scenario::run` used to simulate
-    /// inline.
-    pub fn from_scenario(trajectory: impl IntoSharedTrajectory, config: &ScenarioConfig) -> Self {
+    /// what [`crate::spec::ScenarioSpec::into_source`] lowers an ideal
+    /// channel to.
+    pub(crate) fn from_scenario(
+        trajectory: impl IntoSharedTrajectory,
+        config: &ScenarioConfig,
+    ) -> Self {
         Self::new(
             trajectory,
             config.dmu,
@@ -839,7 +842,10 @@ pub struct CommsChainSource {
 impl CommsChainSource {
     /// Builds the chain for a scenario (instrument configs, truth,
     /// vibration and seed all come from `config`).
-    pub fn from_scenario(trajectory: impl IntoSharedTrajectory, config: &ScenarioConfig) -> Self {
+    pub(crate) fn from_scenario(
+        trajectory: impl IntoSharedTrajectory,
+        config: &ScenarioConfig,
+    ) -> Self {
         let dmu = Dmu::new(config.dmu);
         let mut acc_cfg = Adxl202Config::ideal();
         acc_cfg.sample_rate_hz = config.acc_rate_hz;
@@ -1256,34 +1262,6 @@ impl FusionSession {
         (config.duration_s * config.acc_rate_hz).round().max(0.0) as usize
     }
 
-    /// The session described by a [`ScenarioConfig`] over `trajectory`:
-    /// synthetic source, production estimator, trace recording — the
-    /// batch `scenario::run` in streaming form.
-    pub fn from_scenario(trajectory: impl IntoSharedTrajectory, config: &ScenarioConfig) -> Self {
-        Self::builder()
-            .source(SyntheticSource::from_scenario(trajectory, config))
-            .estimator(config.estimator)
-            .truth(config.true_misalignment)
-            .record_traces_sized(config.trace_decimation, Self::expected_updates(config))
-            .build()
-    }
-
-    /// A scenario session whose full 5-state IEKF runs over `arith`
-    /// instead of native `f64` — identical source and traces, different
-    /// number system.
-    pub fn iekf_from_scenario(
-        trajectory: impl IntoSharedTrajectory,
-        config: &ScenarioConfig,
-        arith: impl Arith + Clone + 'static,
-    ) -> Self {
-        Self::builder()
-            .source(SyntheticSource::from_scenario(trajectory, config))
-            .iekf(arith, config.estimator)
-            .truth(config.true_misalignment)
-            .record_traces_sized(config.trace_decimation, Self::expected_updates(config))
-            .build()
-    }
-
     /// Session clock, seconds.
     pub fn time_s(&self) -> f64 {
         self.time_s
@@ -1512,33 +1490,6 @@ impl SessionGroup {
         Self::default()
     }
 
-    /// The Table-1/Figure-9 arithmetic sweep over one scenario: three
-    /// sessions running the *identical* full 5-state IEKF over native
-    /// `f64` (index 0, the reference), Sabre-accounted Softfloat
-    /// (index 1) and Q16.16 fixed point (index 2) — interleave them
-    /// with [`SessionGroup::run_interleaved`] and read
-    /// [`SessionGroup::divergence_from`]`(0)` at any point.
-    pub fn full_iekf_sweep(trajectory: impl IntoSharedTrajectory, config: &ScenarioConfig) -> Self {
-        let trajectory = trajectory.into_shared();
-        let mut group = Self::new();
-        group.push(FusionSession::iekf_from_scenario(
-            Arc::clone(&trajectory),
-            config,
-            F64Arith::default(),
-        ));
-        group.push(FusionSession::iekf_from_scenario(
-            Arc::clone(&trajectory),
-            config,
-            SoftArith::default(),
-        ));
-        group.push(FusionSession::iekf_from_scenario(
-            trajectory,
-            config,
-            QArith::<16>::default(),
-        ));
-        group
-    }
-
     /// Each session's estimate drift from session `reference`'s, in
     /// insertion order (the reference reports 0).
     ///
@@ -1674,25 +1625,41 @@ impl SessionGroup {
 mod tests {
     use super::*;
     use crate::arith::{F64Arith, QArith, SoftArith};
-    use crate::scenario::{run_static, ScenarioConfig};
+    use crate::spec::{ScenarioSpec, Substrate, TrajectorySpec};
     use mathx::rad_to_deg;
-    use vehicle::TiltTable;
 
-    fn short_config(seed: u64) -> ScenarioConfig {
-        let mut cfg = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -1.0, 1.5));
-        cfg.duration_s = 60.0;
-        cfg.seed = seed;
-        cfg
+    fn short_spec(seed: u64) -> ScenarioSpec {
+        ScenarioSpec::named("session-unit")
+            .with_truth(EulerAngles::from_degrees(2.0, -1.0, 1.5))
+            .with_duration(60.0)
+            .with_seed(seed)
+    }
+
+    /// The full 5-state IEKF over every static substrate, one session
+    /// each over one shared trajectory (index 0, `f64`, is the
+    /// reference).
+    fn substrate_sweep(spec: &ScenarioSpec) -> SessionGroup {
+        let trajectory = spec.lower_trajectory().into_shared();
+        let mut group = SessionGroup::new();
+        for substrate in Substrate::all() {
+            let cell = spec.clone().with_substrate(substrate);
+            group.push(cell.into_session(Arc::clone(&trajectory)));
+        }
+        group
     }
 
     #[test]
     fn session_matches_batch_run_exactly() {
-        // The compat shim and a hand-built session must agree bit for
+        // The batch path and a hand-built session must agree bit for
         // bit: they drive the same source, backend and recorder.
-        let cfg = short_config(3);
-        let batch = run_static(&cfg);
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
-        let session = FusionSession::from_scenario(&table, &cfg);
+        let spec = short_spec(3);
+        let batch = spec.run();
+        let session = FusionSession::builder()
+            .source_boxed(spec.into_source(spec.lower_trajectory()))
+            .estimator(EstimatorConfig::paper_static())
+            .truth(spec.truth)
+            .record_traces(spec.trace_decimation)
+            .build();
         let streamed = session.into_result();
         assert_eq!(batch.estimate, streamed.estimate);
         assert_eq!(batch.residuals, streamed.residuals);
@@ -1702,35 +1669,34 @@ mod tests {
 
     #[test]
     fn stepping_by_odd_slices_equals_one_shot() {
-        let cfg = short_config(4);
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
-        let mut incremental = FusionSession::from_scenario(&table, &cfg);
+        let spec = short_spec(4);
+        let mut incremental = spec.into_session(spec.lower_trajectory());
         while !incremental.is_finished() {
             incremental.step(0.7303); // deliberately unaligned with acc_dt
         }
         let a = incremental.into_result();
-        let b = FusionSession::from_scenario(&table, &cfg).into_result();
+        let b = spec.run();
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.residuals, b.residuals);
     }
 
     #[test]
     fn arith_backends_interleave_in_one_group() {
-        let cfg = short_config(5);
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
+        let spec = short_spec(5);
+        let table = spec.lower_trajectory();
         let mut group = SessionGroup::new();
         group.push(
             FusionSession::builder()
-                .source(SyntheticSource::from_scenario(&table, &cfg))
+                .source_boxed(spec.into_source(&table))
                 .arith_backend(F64Arith::default())
-                .truth(cfg.true_misalignment)
+                .truth(spec.truth)
                 .build(),
         );
         group.push(
             FusionSession::builder()
-                .source(SyntheticSource::from_scenario(&table, &cfg))
+                .source_boxed(spec.into_source(&table))
                 .arith_backend(QArith::<16>::default())
-                .truth(cfg.true_misalignment)
+                .truth(spec.truth)
                 .build(),
         );
         group.run_interleaved(0.5);
@@ -1751,10 +1717,9 @@ mod tests {
 
     #[test]
     fn softfloat_backend_accounts_cycles() {
-        let cfg = short_config(6);
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
+        let spec = short_spec(6);
         let mut session = FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &cfg))
+            .source_boxed(spec.into_source(spec.lower_trajectory()))
             .arith_backend(SoftArith::default())
             .build();
         session.run_for(5.0);
@@ -1765,11 +1730,9 @@ mod tests {
     }
 
     #[test]
-    fn full_iekf_sweep_interleaves_three_substrates() {
-        let mut cfg = short_config(12);
-        cfg.duration_s = 30.0;
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
-        let mut group = SessionGroup::full_iekf_sweep(&table, &cfg);
+    fn substrate_sweep_interleaves_three_substrates() {
+        let spec = short_spec(12).with_duration(30.0);
+        let mut group = substrate_sweep(&spec);
         group.run_interleaved(0.5);
         assert!(group.all_finished());
         let div = group.divergence_from(0);
@@ -1782,7 +1745,8 @@ mod tests {
         assert_eq!(div[0].max_abs_deg, 0.0);
         assert_eq!(div[1].max_abs_deg, 0.0, "softfloat must match f64");
         // Fixed point drifts, but the trust region keeps it bounded.
-        assert!(div[2].max_abs_deg <= 2.0 * rad_to_deg(cfg.estimator.filter.angle_limit));
+        let angle_limit = spec.tuning.estimator_config().filter.angle_limit;
+        assert!(div[2].max_abs_deg <= 2.0 * rad_to_deg(angle_limit));
         // The emulated session accounted Sabre cycles for the full
         // 5-state algorithm.
         let soft = group.sessions()[1]
@@ -1797,9 +1761,8 @@ mod tests {
 
     #[test]
     fn run_lanes_matches_interleaved_bitwise() {
-        let cfg = short_config(13);
-        let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
-        let build = || SessionGroup::full_iekf_sweep(&table, &cfg);
+        let spec = short_spec(13);
+        let build = || substrate_sweep(&spec);
         let mut serial = build();
         serial.run_interleaved(0.5);
         let mut lanes = build();
@@ -1834,14 +1797,14 @@ mod tests {
                 self.finishes += 1;
             }
         }
-        let mut cfg = short_config(7);
-        cfg.duration_s = 10.0;
-        let table = TiltTable::level(10.0);
+        let spec = short_spec(7)
+            .with_duration(10.0)
+            .with_trajectory(TrajectorySpec::Level);
         let counter = Arc::new(Mutex::new(Counter::default()));
         let retunes = Arc::new(Mutex::new(RetuneLog::default()));
         let mut session = FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &cfg))
-            .estimator(cfg.estimator)
+            .source_boxed(spec.into_source(spec.lower_trajectory()))
+            .estimator(spec.tuning.estimator_config())
             .sink(Arc::clone(&counter))
             .sink(Arc::clone(&retunes))
             .build();
@@ -1858,12 +1821,11 @@ mod tests {
 
     #[test]
     fn latest_estimate_sink_tracks_backend() {
-        let cfg = short_config(8);
-        let table = TiltTable::level(cfg.duration_s);
+        let spec = short_spec(8).with_trajectory(TrajectorySpec::Level);
         let latest = Arc::new(Mutex::new(LatestEstimateSink::default()));
         let mut session = FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &cfg))
-            .estimator(cfg.estimator)
+            .source_boxed(spec.into_source(spec.lower_trajectory()))
+            .estimator(spec.tuning.estimator_config())
             .sink(Arc::clone(&latest))
             .build();
         session.run_for(5.0);
@@ -1875,7 +1837,7 @@ mod tests {
     fn uart_replay_reconstructs_recorded_streams() {
         // Record a short comms-chain run, then replay the captured
         // bytes: the replayed session must converge like the live one.
-        let cfg = short_config(9);
+        let cfg = short_spec(9).config();
         let mut replay = UartReplaySource::new(1.0 / Dmu::new(cfg.dmu).dt(), cfg.acc_rate_hz);
         // "Capture": encode DMU samples onto the bridge byte stream the
         // way the live chain does.
@@ -1904,10 +1866,10 @@ mod tests {
 
     #[test]
     fn run_for_honours_the_clock_past_exhaustion() {
-        let mut cfg = short_config(10);
-        cfg.duration_s = 2.0;
-        let table = TiltTable::level(2.0);
-        let mut session = FusionSession::from_scenario(&table, &cfg);
+        let spec = short_spec(10)
+            .with_duration(2.0)
+            .with_trajectory(TrajectorySpec::Level);
+        let mut session = spec.into_session(spec.lower_trajectory());
         session.run_for(5.0);
         assert!(session.is_finished());
         assert!((session.time_s() - 5.0).abs() < 1e-6);

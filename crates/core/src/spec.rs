@@ -1,9 +1,8 @@
 //! Declarative scenario specifications and the sweep runner.
 //!
-//! [`ScenarioConfig`] grew out of the paper's two
-//! procedures (static tilt table, one dynamic drive) and hard-codes
-//! that pair. This module replaces it as the *authoring* surface with
-//! a pure-data, composable [`ScenarioSpec`]:
+//! A [`ScenarioSpec`] is the one way to describe a run: pure data,
+//! composable, built fluently from the paper's static baseline
+//! ([`ScenarioSpec::named`]):
 //!
 //! * [`TrajectorySpec`] — what the vehicle does: the paper tilt-table
 //!   sequences, a level bench, the preset drives, or an arbitrary
@@ -19,15 +18,15 @@
 //! * [`Substrate`] — which arithmetic the full 5-state IEKF runs over
 //!   (native `f64`, Sabre-accounted Softfloat, or Q16.16 fixed point).
 //!
-//! A spec lowers in two steps: [`ScenarioSpec::config`] produces the
-//! legacy [`ScenarioConfig`] (kept bit-identical for the two paper
-//! procedures), and [`ScenarioSpec::into_session`] produces the
-//! streaming [`FusionSession`] over a trajectory built by
-//! [`ScenarioSpec::lower_trajectory`]. [`ScenarioSpec::run`] does all
-//! three for the batch case.
+//! A spec lowers to a streaming [`FusionSession`] through
+//! [`ScenarioSpec::into_session`], over a trajectory built by
+//! [`ScenarioSpec::lower_trajectory`]; [`ScenarioSpec::run`] does both
+//! for the batch case. Underneath, [`ScenarioSpec::config`] flattens
+//! the spec to the [`ScenarioConfig`] record the instrument sources
+//! read.
 //!
-//! [`ScenarioSuite`] executes a scenario × substrate matrix over a
-//! [`SessionGroup`] and reports one machine-readable [`SuiteCell`] per
+//! [`ScenarioSuite`] executes a scenario × substrate matrix on a
+//! worker pool and reports one machine-readable [`SuiteCell`] per
 //! cell; the named workloads live in [`crate::catalog`].
 //!
 //! ```
@@ -59,19 +58,17 @@ use crate::report::VehicleSummary;
 use crate::scenario::{RunResult, ScenarioConfig};
 use crate::session::{
     CommsChainSource, FusionSession, IntoSharedTrajectory, LinkFaultConfig, SensorSource,
-    SessionBuilder, SessionGroup, SyntheticSource,
+    SessionBuilder, SyntheticSource,
 };
 use mathx::{EulerAngles, Vec2};
-use std::sync::Arc;
+use sensors::DmuConfig;
 use vehicle::{profile::presets, DriveProfile, Segment, TiltTable, Trajectory, VibrationConfig};
 
 /// What the vehicle (or test platform) does during the run.
 ///
 /// A spec carries no duration of its own: [`TrajectorySpec::lower`]
 /// stretches the description to the scenario's `duration_s` — tilt
-/// sequences split it into equal holds, drives repeat their block —
-/// which is the hold/repeat arithmetic `run_static`, `run_dynamic` and
-/// the bench binaries used to copy-paste.
+/// sequences split it into equal holds, drives repeat their block.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrajectorySpec {
     /// The paper's tilt-table observability sequence (8 equal holds).
@@ -354,33 +351,6 @@ impl Substrate {
         }
     }
 
-    /// [`FusionSession::iekf_from_scenario`] with the substrate chosen
-    /// at run time instead of by type parameter.
-    pub fn iekf_from_scenario(
-        self,
-        trajectory: impl IntoSharedTrajectory,
-        config: &ScenarioConfig,
-    ) -> FusionSession {
-        match self {
-            Self::F64 => FusionSession::iekf_from_scenario(trajectory, config, F64Arith::default()),
-            Self::Softfloat => {
-                FusionSession::iekf_from_scenario(trajectory, config, SoftArith::default())
-            }
-            Self::Q16_16 => {
-                FusionSession::iekf_from_scenario(trajectory, config, QArith::<16>::default())
-            }
-            Self::Adaptive => {
-                let expected = FusionSession::expected_updates(config);
-                FusionSession::builder()
-                    .source(SyntheticSource::from_scenario(trajectory, config))
-                    .backend(AdaptiveBackend::default_for(config.estimator))
-                    .truth(config.true_misalignment)
-                    .record_traces_sized(config.trace_decimation, expected)
-                    .build()
-            }
-        }
-    }
-
     /// Reads `(total ops, saturations, cycles)` off a session whose
     /// full-IEKF backend runs over this substrate — the one
     /// instrumentation-dispatch site the suite and the arithmetic
@@ -440,20 +410,20 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A named spec with the paper's static-test defaults: tilt-table
-    /// trajectory, laboratory environment, ideal channel, static
-    /// tuning, native `f64`, 300 s, the shared deterministic seed
-    /// (the scalar defaults come from [`ScenarioConfig::default`], the
-    /// single source of the paper baseline).
+    /// A named spec with the paper's static-test defaults: no injected
+    /// misalignment, ACC biases of (0.02, -0.015) m/s^2, the paper's
+    /// 300 s run, the shared deterministic seed, every 10th trace point,
+    /// tilt-table trajectory, laboratory environment, ideal channel,
+    /// static tuning and native `f64`. With [`ScenarioSpec::config`]
+    /// this is the single source of the paper baseline.
     pub fn named(name: impl Into<String>) -> Self {
-        let base = ScenarioConfig::default();
         Self {
             name: name.into(),
-            truth: base.true_misalignment,
-            acc_bias: base.true_acc_bias,
-            duration_s: base.duration_s,
-            seed: base.seed,
-            trace_decimation: base.trace_decimation,
+            truth: EulerAngles::zero(),
+            acc_bias: Vec2::new([0.02, -0.015]),
+            duration_s: 300.0,
+            seed: 0xB0B5,
+            trace_decimation: 10,
             trajectory: TrajectorySpec::paper_tilt_table(),
             environment: EnvironmentSpec::laboratory(),
             channel: ChannelSpec::Ideal,
@@ -522,25 +492,34 @@ impl ScenarioSpec {
         self
     }
 
-    /// Lowers the spec to the legacy [`ScenarioConfig`] — the thin
-    /// target the batch wrappers and the comms/system layers consume.
-    /// For the two paper procedures this reproduces
-    /// [`ScenarioConfig::static_test`] / [`ScenarioConfig::dynamic_test`]
-    /// bit for bit (pinned by test).
+    /// Lowers the spec to the flat [`ScenarioConfig`] record the
+    /// instrument sources and the system layer read, adding the
+    /// paper's fixed sensor constants: DMU accelerometer noise
+    /// 0.004 m/s^2, ACC noise 0.005 m/s^2 at 200 Hz.
     pub fn config(&self) -> ScenarioConfig {
-        let mut cfg = ScenarioConfig::static_test(self.truth);
-        cfg.true_acc_bias = self.acc_bias;
-        cfg.duration_s = self.duration_s;
-        cfg.seed = self.seed;
-        cfg.trace_decimation = self.trace_decimation;
-        cfg.vibration = self.environment.vibration_config();
-        cfg.differential_vibration = self.environment.differential_vibration;
-        cfg.estimator = self.tuning.estimator_config();
-        cfg.link_faults = match self.channel {
-            ChannelSpec::Ideal => LinkFaultConfig::clean(),
-            ChannelSpec::Comms { faults } => faults,
-        };
-        cfg
+        // Tactical-grade IMU accelerometers (the BAE DMU is a cut above
+        // consumer parts): ~0.004 m/s^2 per-sample noise keeps the
+        // combined residual floor inside the paper's tuned
+        // 0.003-0.01 m/s^2 static range.
+        let mut dmu = DmuConfig::default();
+        dmu.accel.error.noise_std = 0.004;
+        ScenarioConfig {
+            true_misalignment: self.truth,
+            true_acc_bias: self.acc_bias,
+            duration_s: self.duration_s,
+            dmu,
+            acc_noise_sigma: 0.005,
+            acc_rate_hz: 200.0,
+            vibration: self.environment.vibration_config(),
+            differential_vibration: self.environment.differential_vibration,
+            estimator: self.tuning.estimator_config(),
+            link_faults: match self.channel {
+                ChannelSpec::Ideal => LinkFaultConfig::clean(),
+                ChannelSpec::Comms { faults } => faults,
+            },
+            seed: self.seed,
+            trace_decimation: self.trace_decimation,
+        }
     }
 
     /// Builds the owned trajectory this spec runs over.
@@ -579,12 +558,24 @@ impl ScenarioSpec {
     /// [`crate::replay::RecordingSink`]) on the session first.
     pub fn session_builder(&self, trajectory: impl IntoSharedTrajectory) -> SessionBuilder {
         let cfg = self.config();
-        let expected_updates = FusionSession::expected_updates(&cfg);
         let builder = FusionSession::builder().source_boxed(self.into_source(trajectory));
-        self.substrate
-            .attach_iekf(builder, cfg.estimator)
-            .truth(cfg.true_misalignment)
-            .record_traces_sized(cfg.trace_decimation, expected_updates)
+        self.finish(
+            self.substrate.attach_iekf(builder, cfg.estimator),
+            FusionSession::expected_updates(&cfg),
+        )
+    }
+
+    /// Attaches the spec's truth and a trace recorder pre-sized for
+    /// `expected_updates` — the finishing step every spec-built
+    /// session shares.
+    pub(crate) fn finish(
+        &self,
+        builder: SessionBuilder,
+        expected_updates: usize,
+    ) -> SessionBuilder {
+        builder
+            .truth(self.truth)
+            .record_traces_sized(self.trace_decimation, expected_updates)
     }
 
     /// Lowers and runs the spec to completion (the batch path).
@@ -603,12 +594,10 @@ impl ScenarioSpec {
         policy: Box<dyn crate::adaptive::ReconfigPolicy>,
     ) -> FusionSession {
         let cfg = self.config();
-        let expected_updates = FusionSession::expected_updates(&cfg);
-        FusionSession::builder()
+        let builder = FusionSession::builder()
             .source_boxed(self.into_source(trajectory))
-            .backend(AdaptiveBackend::new(cfg.estimator, initial, policy))
-            .truth(cfg.true_misalignment)
-            .record_traces_sized(cfg.trace_decimation, expected_updates)
+            .backend(AdaptiveBackend::new(cfg.estimator, initial, policy));
+        self.finish(builder, FusionSession::expected_updates(&cfg))
             .build()
     }
 }
@@ -706,16 +695,14 @@ impl SuiteReport {
     }
 }
 
-/// Executes a scenario × substrate matrix over a [`SessionGroup`]:
-/// each scenario's substrate sessions share one lowered trajectory and
-/// interleave on one thread, exactly like the production
-/// many-concurrent-sensors pattern.
+/// Executes a scenario × substrate matrix on a worker pool: every
+/// cell lowers to its own session and runs to completion inside a
+/// worker.
 #[derive(Clone, Debug)]
 pub struct ScenarioSuite {
     scenarios: Vec<ScenarioSpec>,
     substrates: Vec<Substrate>,
     duration_override_s: Option<f64>,
-    chunk_s: f64,
 }
 
 impl ScenarioSuite {
@@ -725,7 +712,6 @@ impl ScenarioSuite {
             scenarios,
             substrates: Substrate::all().to_vec(),
             duration_override_s: None,
-            chunk_s: 1.0,
         }
     }
 
@@ -747,12 +733,6 @@ impl ScenarioSuite {
         self
     }
 
-    /// Sets the interleave slice handed to each session in turn.
-    pub fn with_chunk(mut self, chunk_s: f64) -> Self {
-        self.chunk_s = chunk_s;
-        self
-    }
-
     /// The scenarios on the suite's scenario axis.
     pub fn scenarios(&self) -> &[ScenarioSpec] {
         &self.scenarios
@@ -760,8 +740,7 @@ impl ScenarioSuite {
 
     /// Every scenario × substrate cell spec of the matrix, in
     /// scenario-major order, with the duration override applied — the
-    /// shared work list behind both [`ScenarioSuite::run`] and
-    /// [`ScenarioSuite::run_parallel`].
+    /// work list [`ScenarioSuite::run_parallel`] hands to the pool.
     fn cell_specs(&self) -> Vec<ScenarioSpec> {
         self.scenarios
             .iter()
@@ -777,34 +756,16 @@ impl ScenarioSuite {
             .collect()
     }
 
-    /// Runs the whole matrix to completion on the calling thread, one
-    /// scenario's substrate sessions interleaved at a time.
-    pub fn run(&self) -> SuiteReport {
-        let mut cells = Vec::with_capacity(self.scenarios.len() * self.substrates.len());
-        for scenario_cells in self.cell_specs().chunks(self.substrates.len().max(1)) {
-            // All substrate sessions of one scenario share one lowered
-            // trajectory.
-            let trajectory: Arc<dyn Trajectory> = Arc::new(scenario_cells[0].lower_trajectory());
-            let mut group = SessionGroup::new();
-            for cell_spec in scenario_cells {
-                group.push(cell_spec.into_session(Arc::clone(&trajectory)));
-            }
-            group.run_interleaved(self.chunk_s);
-            for (cell_spec, session) in scenario_cells.iter().zip(group.into_sessions()) {
-                cells.push(SuiteCell::collect(cell_spec, session));
-            }
-        }
-        SuiteReport { cells }
-    }
-
     /// Runs the whole matrix on a pool of `workers` threads (`0` means
     /// one per core; see [`exec::map_parallel`]).
     ///
     /// Each scenario × substrate cell is lowered to an owned
     /// [`FusionSession`] *inside its worker* and run to completion
     /// there; per-cell RNG seeding makes every cell independent, so the
-    /// report is bit-identical to [`ScenarioSuite::run`] (pinned by
-    /// test) while the wall clock shrinks with the core count.
+    /// report is the same for every worker count, and bit-identical to
+    /// interleaving each scenario's substrate sessions on one thread
+    /// (both pinned by test), while the wall clock shrinks with the
+    /// core count.
     pub fn run_parallel(&self, workers: usize) -> SuiteReport {
         let cells = exec::map_parallel(self.cell_specs(), workers, |spec| {
             let mut session = spec.into_session(spec.lower_trajectory());
@@ -818,57 +779,6 @@ impl ScenarioSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_dynamic, run_static};
-
-    #[test]
-    fn paper_static_spec_lowers_to_static_test_config() {
-        let truth = EulerAngles::from_degrees(2.0, -3.0, 1.5);
-        let spec = ScenarioSpec::named("paper-static").with_truth(truth);
-        let lowered = spec.config();
-        let reference = ScenarioConfig::static_test(truth);
-        assert_eq!(lowered.true_misalignment, reference.true_misalignment);
-        assert_eq!(lowered.true_acc_bias, reference.true_acc_bias);
-        assert_eq!(lowered.duration_s, reference.duration_s);
-        assert_eq!(lowered.seed, reference.seed);
-        assert_eq!(
-            lowered.estimator.filter.measurement_sigma,
-            reference.estimator.filter.measurement_sigma
-        );
-        assert_eq!(lowered.vibration.accel_rms, reference.vibration.accel_rms);
-        assert_eq!(lowered.link_faults, reference.link_faults);
-    }
-
-    #[test]
-    fn spec_run_is_bit_identical_to_run_static() {
-        let truth = EulerAngles::from_degrees(2.0, -1.0, 1.5);
-        let spec = ScenarioSpec::named("paper-static")
-            .with_truth(truth)
-            .with_duration(60.0);
-        let from_spec = spec.run();
-        let mut cfg = ScenarioConfig::static_test(truth);
-        cfg.duration_s = 60.0;
-        let from_config = run_static(&cfg);
-        assert_eq!(from_spec.estimate, from_config.estimate);
-        assert_eq!(from_spec.residuals, from_config.residuals);
-        assert_eq!(from_spec.exceed_rate, from_config.exceed_rate);
-    }
-
-    #[test]
-    fn dynamic_spec_is_bit_identical_to_run_dynamic() {
-        let truth = EulerAngles::from_degrees(3.0, -2.0, 2.5);
-        let spec = ScenarioSpec::named("paper-dynamic")
-            .with_truth(truth)
-            .with_trajectory(TrajectorySpec::Urban)
-            .with_environment(EnvironmentSpec::passenger_car())
-            .with_tuning(TuningSpec::Dynamic)
-            .with_duration(40.0);
-        let from_spec = spec.run();
-        let mut cfg = ScenarioConfig::dynamic_test(truth);
-        cfg.duration_s = 40.0;
-        let from_config = run_dynamic(&cfg);
-        assert_eq!(from_spec.estimate, from_config.estimate);
-        assert_eq!(from_spec.residuals, from_config.residuals);
-    }
 
     #[test]
     fn substrate_labels_roundtrip() {
@@ -935,7 +845,7 @@ mod tests {
         ])
         .with_substrates(&[Substrate::F64, Substrate::Q16_16])
         .with_duration(20.0);
-        let report = suite.run();
+        let report = suite.run_parallel(1);
         assert_eq!(report.cells.len(), 2);
         assert!(report.unhealthy().is_empty());
         let f64_cell = report.cell("cell", Substrate::F64).expect("f64 cell");

@@ -8,20 +8,24 @@
 //!
 //! Run with `cargo run --release --example dynamic_drive`.
 
-use boresight::scenario::{run, ScenarioConfig};
+use boresight::estimator::EstimatorConfig;
+use boresight::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
 use mathx::EulerAngles;
-use vehicle::profile::presets::urban_drive;
 
 fn main() {
     let truth = EulerAngles::from_degrees(2.5, -2.0, 3.0);
     println!("true misalignment : {:+.3?} deg", truth.to_degrees());
 
     // Start from the *static* tuning to show the adaptive retune.
-    let mut config = ScenarioConfig::dynamic_test(truth);
-    config.duration_s = 120.0;
-    config.estimator.filter.measurement_sigma = 0.005;
-    let profile = urban_drive(config.duration_s);
-    let result = run(&profile, &config);
+    let mut tuning = EstimatorConfig::paper_dynamic();
+    tuning.filter.measurement_sigma = 0.005;
+    let result = ScenarioSpec::named("dynamic-drive")
+        .with_truth(truth)
+        .with_trajectory(TrajectorySpec::Urban)
+        .with_environment(EnvironmentSpec::passenger_car())
+        .with_tuning(TuningSpec::Custom(tuning))
+        .with_duration(120.0)
+        .run();
 
     println!(
         "estimated         : {:+.3?} deg",

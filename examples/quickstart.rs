@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use boresight::scenario::{run_static, ScenarioConfig};
+use boresight::spec::ScenarioSpec;
 use mathx::EulerAngles;
 
 fn main() {
@@ -15,9 +15,10 @@ fn main() {
     let truth = EulerAngles::from_degrees(2.0, -3.0, 1.5);
     println!("true misalignment  : {:+.3?} deg", truth.to_degrees());
 
-    let mut config = ScenarioConfig::static_test(truth);
-    config.duration_s = 60.0;
-    let result = run_static(&config);
+    let result = ScenarioSpec::named("quickstart")
+        .with_truth(truth)
+        .with_duration(60.0)
+        .run();
 
     let est = result.estimate;
     println!("estimated          : {:+.3?} deg", est.angles.to_degrees());

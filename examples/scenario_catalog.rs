@@ -71,7 +71,7 @@ fn main() {
     ])
     .with_duration(30.0);
     println!("\nscenario x substrate matrix (30 s cells):");
-    for cell in suite.run().cells {
+    for cell in suite.run_parallel(0).cells {
         println!(
             "  {:>18} {:>9}  rms {:>7.4} deg  retunes {:>2}  saturations {:>3}  cycles/sample {:>7.0}{}",
             cell.scenario,

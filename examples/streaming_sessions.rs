@@ -6,43 +6,45 @@
 //! filter over native f64, Softfloat (the paper's Sabre configuration)
 //! and Q16.16 fixed point. Part two does the same with the **full
 //! 5-state boresight IEKF** — the production algorithm over every
-//! substrate via `SessionGroup::full_iekf_sweep`, with the divergence
-//! of each number system from the f64 reference reported live.
+//! substrate — one `ScenarioSpec` per `Substrate` over one shared
+//! trajectory — with the divergence of each number system from the
+//! f64 reference reported live.
 //!
 //! Run with `cargo run --release --example streaming_sessions`.
 
 use sensor_fusion_fpga::fusion::arith::{Arith, F64Arith, QArith, SoftArith};
 use sensor_fusion_fpga::fusion::estimator::GenericBoresightEstimator;
-use sensor_fusion_fpga::fusion::scenario::ScenarioConfig;
-use sensor_fusion_fpga::fusion::{ArithKf3, FusionSession, SessionGroup, SyntheticSource};
+use sensor_fusion_fpga::fusion::spec::{ScenarioSpec, Substrate};
+use sensor_fusion_fpga::fusion::{ArithKf3, FusionSession, IntoSharedTrajectory, SessionGroup};
 use sensor_fusion_fpga::math::{rad_to_deg, EulerAngles};
-use sensor_fusion_fpga::motion::TiltTable;
+use std::sync::Arc;
 
 fn main() {
     let truth = EulerAngles::from_degrees(2.0, -1.5, 2.5);
-    let mut config = ScenarioConfig::static_test(truth);
-    config.duration_s = 60.0;
-    let table = TiltTable::observability_sequence(20.0, config.duration_s / 8.0);
+    let spec = ScenarioSpec::named("streaming")
+        .with_truth(truth)
+        .with_duration(60.0);
+    let table = spec.lower_trajectory().into_shared();
 
     // --- Part 1: the 3-state ablation filter per substrate ----------
     let mut group = SessionGroup::new();
     group.push(
         FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &config))
+            .source_boxed(spec.into_source(Arc::clone(&table)))
             .backend(ArithKf3::with_defaults(F64Arith::default()))
             .truth(truth)
             .build(),
     );
     group.push(
         FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &config))
+            .source_boxed(spec.into_source(Arc::clone(&table)))
             .backend(ArithKf3::with_defaults(SoftArith::default()))
             .truth(truth)
             .build(),
     );
     group.push(
         FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &config))
+            .source_boxed(spec.into_source(Arc::clone(&table)))
             .backend(ArithKf3::with_defaults(QArith::<16>::default()))
             .truth(truth)
             .build(),
@@ -88,7 +90,11 @@ fn main() {
 
     // --- Part 2: the full 5-state IEKF per substrate ----------------
     println!("\nfull 5-state IEKF sweep (divergence measured against the f64 session):");
-    let mut sweep = SessionGroup::full_iekf_sweep(&table, &config);
+    let mut sweep = SessionGroup::new();
+    for substrate in Substrate::all() {
+        let cell = spec.clone().with_substrate(substrate);
+        sweep.push(cell.into_session(Arc::clone(&table)));
+    }
     while !sweep.all_finished() {
         sweep.step_all(5.0);
         let div = sweep.divergence_from(0);
@@ -119,6 +125,7 @@ fn main() {
     // Per incoming ACC sample, not per accepted update: rejected
     // samples still pay their model/Jacobian/gating arithmetic (the
     // convention the ablation bench and its JSON report use).
+    let config = spec.config();
     let samples = (config.duration_s * config.acc_rate_hz).round().max(1.0);
     println!(
         "  softfloat cycles/sample: {:.0}  |  q16.16 saturation events: {}",

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example video_stabilization`.
 
-use boresight::scenario::{run_static, ScenarioConfig};
+use boresight::spec::ScenarioSpec;
 use fpga::pipeline::FrameTiming;
 use mathx::EulerAngles;
 use video::affine::{transform, MappingKind};
@@ -27,9 +27,11 @@ fn main() {
     let seen = camera.observe(&reference);
 
     // 2. Estimate the misalignment from inertial data (30 s static).
-    let mut config = ScenarioConfig::static_test(truth);
-    config.duration_s = 30.0;
-    let estimate = run_static(&config).estimate;
+    let estimate = ScenarioSpec::named("video-stabilization")
+        .with_truth(truth)
+        .with_duration(30.0)
+        .run()
+        .estimate;
     println!(
         "estimated misalignment: {:+.3?} deg",
         estimate.angles.to_degrees()

@@ -20,44 +20,45 @@
 //!
 //! # Quickstart
 //!
-//! Fusion runs are *streaming sessions*: a [`fusion::FusionSession`]
-//! wires a sensor source, a fusion backend and any sinks around one
-//! incremental event loop, and you step it as coarsely or finely as
-//! you like:
+//! Every run is described by a [`fusion::spec::ScenarioSpec`]:
+//! `ScenarioSpec::named` starts from the paper's static tilt-table
+//! test, and the fluent `with_*` setters change truth, duration, seed,
+//! trajectory, environment, tuning, channel or arithmetic substrate:
 //!
 //! ```
-//! use sensor_fusion_fpga::fusion::scenario::ScenarioConfig;
-//! use sensor_fusion_fpga::fusion::FusionSession;
+//! use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
 //! use sensor_fusion_fpga::math::EulerAngles;
-//! use sensor_fusion_fpga::motion::TiltTable;
 //!
-//! let mut config = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -3.0, 1.5));
-//! config.duration_s = 30.0;
-//! let table = TiltTable::observability_sequence(20.0, config.duration_s / 8.0);
-//! let mut session = FusionSession::from_scenario(&table, &config);
+//! let result = ScenarioSpec::named("tilt-table")
+//!     .with_truth(EulerAngles::from_degrees(2.0, -3.0, 1.5))
+//!     .with_duration(30.0)
+//!     .run();
+//! assert!(result.max_error_deg() < 0.5);
+//! ```
+//!
+//! Fusion runs are *streaming sessions*: a spec lowers to a
+//! [`fusion::FusionSession`] that wires a sensor source, a fusion
+//! backend and any sinks around one incremental event loop, and you
+//! step it as coarsely or finely as you like:
+//!
+//! ```
+//! use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
+//! use sensor_fusion_fpga::math::EulerAngles;
+//!
+//! let spec = ScenarioSpec::named("tilt-table")
+//!     .with_truth(EulerAngles::from_degrees(2.0, -3.0, 1.5))
+//!     .with_duration(30.0);
+//! let mut session = spec.into_session(spec.lower_trajectory());
 //! session.run_for(10.0);          // stream the first 10 s
 //! assert!(session.estimate().updates > 0);
 //! session.run_to_end();
 //! assert!(session.into_result().max_error_deg() < 0.5);
 //! ```
 //!
-//! The batch wrappers remain for the paper's canned procedures:
-//!
-//! ```
-//! use sensor_fusion_fpga::fusion::scenario::{run_static, ScenarioConfig};
-//! use sensor_fusion_fpga::math::EulerAngles;
-//!
-//! let mut config = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -3.0, 1.5));
-//! config.duration_s = 30.0;
-//! let result = run_static(&config);
-//! assert!(result.max_error_deg() < 0.5);
-//! ```
-//!
-//! Workloads beyond the paper's two procedures come from the
-//! declarative scenario layer: compose a [`fusion::spec::ScenarioSpec`]
-//! or pull a named one from [`fusion::catalog`], then lower it to a
-//! session (or sweep the whole scenario × substrate matrix with
-//! [`fusion::spec::ScenarioSuite`]):
+//! Named workloads — the paper's two procedures plus drive styles,
+//! road surfaces, vehicle classes and channel-fault storms — come from
+//! [`fusion::catalog`] (sweep the whole scenario × substrate matrix
+//! with [`fusion::spec::ScenarioSuite`]):
 //!
 //! ```
 //! use sensor_fusion_fpga::fusion::catalog;

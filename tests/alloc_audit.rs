@@ -306,13 +306,13 @@ fn adaptive_session_steady_state_allocates_nothing() {
 #[test]
 fn q_format_filter_loop_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::arith::QArith;
-    use sensor_fusion_fpga::fusion::session::FusionSession;
 
     let _audit = Audit::begin();
     let spec = catalog::paper_static().with_duration(30.0);
-    let cfg = spec.config();
-    let mut session =
-        FusionSession::iekf_from_scenario(spec.lower_trajectory(), &cfg, QArith::<24>::default());
+    let mut session = spec
+        .session_builder(spec.lower_trajectory())
+        .iekf(QArith::<24>::default(), spec.config().estimator)
+        .build();
     session.run_for(2.0);
     let before = allocations();
     session.run_for(25.0);

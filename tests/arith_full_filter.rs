@@ -19,8 +19,9 @@ use sensor_fusion_fpga::fusion::arith::{
 };
 use sensor_fusion_fpga::fusion::filter::{jp_and_s, FilterConfig, GenericBoresightFilter};
 use sensor_fusion_fpga::fusion::model::{self, reference};
-use sensor_fusion_fpga::fusion::scenario::{run_dynamic, run_static, RunResult, ScenarioConfig};
+use sensor_fusion_fpga::fusion::scenario::RunResult;
 use sensor_fusion_fpga::fusion::smallmat;
+use sensor_fusion_fpga::fusion::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
 use sensor_fusion_fpga::math::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
 
 /// Expected bits for one scenario run of the pre-refactor filter.
@@ -66,9 +67,10 @@ fn assert_run_matches(result: &RunResult, pin: &PinnedRun) {
 
 #[test]
 fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
-    let mut cfg = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -3.0, 1.5));
-    cfg.duration_s = 50.0;
-    let result = run_static(&cfg);
+    let result = ScenarioSpec::named("pinned-static")
+        .with_truth(EulerAngles::from_degrees(2.0, -3.0, 1.5))
+        .with_duration(50.0)
+        .run();
     assert_run_matches(
         &result,
         &PinnedRun {
@@ -94,9 +96,13 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
 
 #[test]
 fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
-    let mut cfg = ScenarioConfig::dynamic_test(EulerAngles::from_degrees(3.0, -2.0, 2.5));
-    cfg.duration_s = 50.0;
-    let result = run_dynamic(&cfg);
+    let result = ScenarioSpec::named("pinned-dynamic")
+        .with_truth(EulerAngles::from_degrees(3.0, -2.0, 2.5))
+        .with_trajectory(TrajectorySpec::Urban)
+        .with_environment(EnvironmentSpec::passenger_car())
+        .with_tuning(TuningSpec::Dynamic)
+        .with_duration(50.0)
+        .run();
     assert_run_matches(
         &result,
         &PinnedRun {

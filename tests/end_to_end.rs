@@ -1,18 +1,30 @@
 //! Cross-crate integration: the full paper pipeline from trajectory to
 //! corrected video, exercised through the root facade.
 
-use sensor_fusion_fpga::fusion::scenario::{run_dynamic, run_static, ScenarioConfig};
+use sensor_fusion_fpga::fusion::spec::{EnvironmentSpec, ScenarioSpec, TrajectorySpec, TuningSpec};
 use sensor_fusion_fpga::fusion::system::{run_system, SystemConfig};
+use sensor_fusion_fpga::fusion::EstimatorConfig;
 use sensor_fusion_fpga::math::EulerAngles;
 use sensor_fusion_fpga::motion::profile::presets::urban_drive;
+
+/// The paper's dynamic test: an urban drive with passenger-car
+/// vibration and the dynamic tuning.
+fn dynamic_test(truth: EulerAngles) -> ScenarioSpec {
+    ScenarioSpec::named("dynamic")
+        .with_truth(truth)
+        .with_trajectory(TrajectorySpec::Urban)
+        .with_environment(EnvironmentSpec::passenger_car())
+        .with_tuning(TuningSpec::Dynamic)
+}
 
 #[test]
 fn static_procedure_meets_requirement() {
     let truth = EulerAngles::from_degrees(2.0, -3.0, 1.5);
-    let mut config = ScenarioConfig::static_test(truth);
-    config.duration_s = 60.0;
-    config.seed = 9001;
-    let result = run_static(&config);
+    let result = ScenarioSpec::named("static")
+        .with_truth(truth)
+        .with_duration(60.0)
+        .with_seed(9001)
+        .run();
     assert!(
         result.max_error_deg() < 0.25,
         "static errors {:?}",
@@ -29,10 +41,10 @@ fn static_procedure_meets_requirement() {
 #[test]
 fn dynamic_procedure_meets_requirement() {
     let truth = EulerAngles::from_degrees(2.5, -2.0, 3.0);
-    let mut config = ScenarioConfig::dynamic_test(truth);
-    config.duration_s = 120.0;
-    config.seed = 9002;
-    let result = run_dynamic(&config);
+    let result = dynamic_test(truth)
+        .with_duration(120.0)
+        .with_seed(9002)
+        .run();
     assert!(
         result.max_error_deg() < 0.6,
         "dynamic errors {:?}",
@@ -44,13 +56,9 @@ fn dynamic_procedure_meets_requirement() {
 fn two_dynamic_runs_agree() {
     // The paper: "there is very close agreement between the tests".
     let truth = EulerAngles::from_degrees(2.0, -1.0, 2.0);
-    let mut a_cfg = ScenarioConfig::dynamic_test(truth);
-    a_cfg.duration_s = 90.0;
-    a_cfg.seed = 9101;
-    let mut b_cfg = a_cfg.clone();
-    b_cfg.seed = 9102;
-    let a = run_dynamic(&a_cfg);
-    let b = run_dynamic(&b_cfg);
+    let spec = dynamic_test(truth).with_duration(90.0);
+    let a = spec.clone().with_seed(9101).run();
+    let b = spec.with_seed(9102).run();
     for (ea, eb) in a.error_deg().iter().zip(b.error_deg()) {
         assert!((ea - eb).abs() < 0.6, "run disagreement: {ea} vs {eb}");
     }
@@ -61,11 +69,13 @@ fn mistuned_filter_retunes_itself() {
     // Figure-8 narrative through the public API: static tuning on a
     // moving vehicle must trigger the adaptive monitor.
     let truth = EulerAngles::from_degrees(2.0, 2.0, 2.0);
-    let mut config = ScenarioConfig::dynamic_test(truth);
-    config.duration_s = 60.0;
-    config.seed = 9003;
-    config.estimator.filter.measurement_sigma = 0.004;
-    let result = run_dynamic(&config);
+    let mut estimator = EstimatorConfig::paper_dynamic();
+    estimator.filter.measurement_sigma = 0.004;
+    let result = dynamic_test(truth)
+        .with_tuning(TuningSpec::Custom(estimator))
+        .with_duration(60.0)
+        .with_seed(9003)
+        .run();
     assert!(result.retune_count > 0, "no adaptive retune fired");
     assert!(
         result.final_sigma >= 0.008,
@@ -109,7 +119,7 @@ fn full_system_simulation_closes_the_loop() {
 fn estimator_survives_imu_outage() {
     // The DMU stream dies for 10 s mid-run (connector bump); the
     // estimator must hold its estimate and resume cleanly.
-    use sensor_fusion_fpga::fusion::{BoresightEstimator, EstimatorConfig};
+    use sensor_fusion_fpga::fusion::BoresightEstimator;
     use sensor_fusion_fpga::math::{
         rng::seeded_rng, GaussianSampler, Vec2, Vec3, STANDARD_GRAVITY,
     };
@@ -162,7 +172,7 @@ fn estimator_survives_imu_outage() {
 fn saturated_acc_does_not_poison_the_estimate() {
     // Hard manoeuvres push the ADXL202 beyond +/-2 g; the clipped
     // samples disagree with the model and the gate must reject them.
-    use sensor_fusion_fpga::fusion::{BoresightEstimator, EstimatorConfig};
+    use sensor_fusion_fpga::fusion::BoresightEstimator;
     use sensor_fusion_fpga::math::{
         rng::seeded_rng, GaussianSampler, Vec2, Vec3, STANDARD_GRAVITY,
     };

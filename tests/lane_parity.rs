@@ -16,12 +16,11 @@ use proptest::prelude::*;
 use sensor_fusion_fpga::fusion::arith::{F64Arith, LaneSpec};
 use sensor_fusion_fpga::fusion::filter::{FilterConfig, GenericBoresightFilter};
 use sensor_fusion_fpga::fusion::lanes::{LaneBank, LaneIekf};
-use sensor_fusion_fpga::fusion::scenario::ScenarioConfig;
 use sensor_fusion_fpga::fusion::session::{ChannelConfig, FusionSession, SyntheticSource};
 use sensor_fusion_fpga::fusion::simd::{F64Lanes, SimdF64};
+use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
 use sensor_fusion_fpga::fusion::EstimatorConfig;
 use sensor_fusion_fpga::math::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
-use sensor_fusion_fpga::motion::TiltTable;
 
 const LANES: usize = 3;
 
@@ -152,17 +151,16 @@ fn lane_bank_session_matches_scalar_sessions() {
         EulerAngles::from_degrees(2.0, -1.0, 1.5),
         EulerAngles::from_degrees(-3.0, 2.0, -1.0),
     ];
-    let cfg = {
-        let mut c = ScenarioConfig::static_test(truths[0]);
-        c.duration_s = 60.0;
-        c
-    };
+    let spec = ScenarioSpec::named("lane-bank")
+        .with_truth(truths[0])
+        .with_duration(60.0);
+    let cfg = spec.config();
     let channel = |truth| ChannelConfig {
         misalignment: truth,
         noise_sigma: 0.007,
         ..ChannelConfig::ideal()
     };
-    let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
+    let table = spec.lower_trajectory();
     let source = || {
         SyntheticSource::new(
             &table,

@@ -1,12 +1,15 @@
 //! The parallel sweep executor's contract: worker-pool runs are the
-//! *same computation* as the serial interleaved sweep — bit for bit —
-//! and the session layer is actually `Send` (compile-time pinned), so
-//! sessions may be lowered and run inside worker threads.
+//! *same computation* as interleaving each scenario's substrate
+//! sessions on one thread — bit for bit — and the session layer is
+//! actually `Send` (compile-time pinned), so sessions may be lowered
+//! and run inside worker threads.
 
 use sensor_fusion_fpga::fusion::spec::{ScenarioSuite, Substrate};
 use sensor_fusion_fpga::fusion::{
-    catalog, exec, CommsChainSource, FusionSession, SessionGroup, SuiteCell, SyntheticSource,
+    catalog, exec, CommsChainSource, FusionSession, IntoSharedTrajectory, SessionGroup, SuiteCell,
+    SyntheticSource, VehicleSummary,
 };
+use std::sync::Arc;
 
 /// Compile-time `Send` audit of the session layer. If any source,
 /// backend or sink loses its `Send` bound, this stops compiling —
@@ -41,9 +44,9 @@ fn sessions_cross_threads() {
     assert_eq!(estimate, reference.estimate());
 }
 
-fn bits(cell: &SuiteCell) -> Vec<u64> {
-    let a = cell.summary.estimate.angles;
-    let s = cell.summary.estimate.one_sigma;
+fn bits(summary: &VehicleSummary, ops: u64, cycles: u64) -> Vec<u64> {
+    let a = summary.estimate.angles;
+    let s = summary.estimate.one_sigma;
     vec![
         a.roll.to_bits(),
         a.pitch.to_bits(),
@@ -51,49 +54,64 @@ fn bits(cell: &SuiteCell) -> Vec<u64> {
         s[0].to_bits(),
         s[1].to_bits(),
         s[2].to_bits(),
-        cell.summary.error_rms_deg.to_bits(),
-        cell.summary.exceed_rate.to_bits(),
-        cell.summary.retune_count as u64,
-        cell.summary.estimate.updates,
-        cell.ops,
-        cell.summary.saturations,
-        cell.cycles,
+        summary.error_rms_deg.to_bits(),
+        summary.exceed_rate.to_bits(),
+        summary.retune_count as u64,
+        summary.estimate.updates,
+        ops,
+        summary.saturations,
+        cycles,
     ]
 }
 
+fn cell_bits(cell: &SuiteCell) -> Vec<u64> {
+    bits(&cell.summary, cell.ops, cell.cycles)
+}
+
 /// Acceptance: the parallel suite report is bit-identical to the
-/// serial one across catalog cells — estimates, confidence, error
-/// metrics, retunes and the per-substrate instrumentation ledgers —
-/// including a comms-chain + fault-injection scenario, whose RNG
-/// stream is the easiest thing to break.
+/// serial sweep — each scenario's substrate sessions interleaved on
+/// one thread over one shared trajectory — across catalog cells:
+/// estimates, confidence, error metrics, retunes and the per-substrate
+/// instrumentation ledgers, including a comms-chain + fault-injection
+/// scenario, whose RNG stream is the easiest thing to break.
 #[test]
 fn parallel_suite_is_bit_identical_to_serial() {
+    let duration = 8.0;
     let scenarios = vec![
         catalog::paper_static(),
         catalog::paper_dynamic(),
         catalog::by_name("can-fault-storm").expect("catalog entry"),
     ];
-    let suite = ScenarioSuite::new(scenarios).with_duration(8.0);
-    let serial = suite.run();
-    let parallel = suite.run_parallel(4);
-    assert_eq!(serial.cells.len(), 3 * Substrate::all().len());
-    assert_eq!(serial.cells.len(), parallel.cells.len());
-    for (s, p) in serial.cells.iter().zip(&parallel.cells) {
-        assert_eq!(s.scenario, p.scenario, "cell order must match");
-        assert_eq!(s.substrate, p.substrate, "cell order must match");
-        assert_eq!(
-            bits(s),
-            bits(p),
-            "parallel diverged from serial on {}/{}",
-            s.scenario,
-            s.substrate
-        );
-        // Comms cells carry their stream stats through both paths.
-        assert_eq!(
-            s.summary.stream, p.summary.stream,
-            "{}/{}",
-            s.scenario, s.substrate
-        );
+    let parallel = ScenarioSuite::new(scenarios.clone())
+        .with_duration(duration)
+        .run_parallel(4);
+    assert_eq!(parallel.cells.len(), 3 * Substrate::all().len());
+    let mut cells = parallel.cells.iter();
+    for scenario in scenarios {
+        let scenario = scenario.with_duration(duration);
+        let trajectory = scenario.lower_trajectory().into_shared();
+        let mut group = SessionGroup::new();
+        for substrate in Substrate::all() {
+            let spec = scenario.clone().with_substrate(substrate);
+            group.push(spec.into_session(Arc::clone(&trajectory)));
+        }
+        group.run_interleaved(1.0);
+        for (substrate, session) in Substrate::all().into_iter().zip(group.into_sessions()) {
+            let p = cells.next().expect("one cell per scenario x substrate");
+            assert_eq!(p.scenario, scenario.name, "cell order must match");
+            assert_eq!(p.substrate, substrate, "cell order must match");
+            let (ops, saturations, cycles) = substrate.read_instrumentation(&session);
+            let stream = session.stream_stats();
+            let serial = VehicleSummary::from_result(&session.into_result(), saturations, stream);
+            assert_eq!(
+                bits(&serial, ops, cycles),
+                cell_bits(p),
+                "parallel diverged from serial on {}/{substrate}",
+                scenario.name
+            );
+            // Comms cells carry their stream stats through both paths.
+            assert_eq!(stream, p.summary.stream, "{}/{substrate}", scenario.name);
+        }
     }
     // The fault-storm cells actually exercised the injected faults.
     let storm = parallel
@@ -114,10 +132,10 @@ fn worker_count_does_not_change_the_report() {
     let two = suite.run_parallel(2);
     let eight = suite.run_parallel(8);
     for (a, b) in one.cells.iter().zip(&two.cells) {
-        assert_eq!(bits(a), bits(b));
+        assert_eq!(cell_bits(a), cell_bits(b));
     }
     for (a, b) in one.cells.iter().zip(&eight.cells) {
-        assert_eq!(bits(a), bits(b));
+        assert_eq!(cell_bits(a), cell_bits(b));
     }
 }
 

@@ -1,11 +1,14 @@
 //! Integration tests for the declarative scenario layer: catalog
-//! contract, seed determinism, substrate health, and the pinned
-//! bit-identity of the two paper procedures against the legacy
-//! `ScenarioConfig` path.
+//! contract, seed determinism, substrate health, and the literal pin
+//! of the paper baseline every spec starts from.
 
-use sensor_fusion_fpga::fusion::catalog;
-use sensor_fusion_fpga::fusion::scenario::{run_dynamic, run_static, ScenarioConfig};
-use sensor_fusion_fpga::fusion::spec::{ScenarioSuite, Substrate};
+use sensor_fusion_fpga::fusion::spec::{
+    EnvironmentSpec, ScenarioSpec, ScenarioSuite, Substrate, TrajectorySpec, TuningSpec,
+};
+use sensor_fusion_fpga::fusion::{catalog, EstimatorConfig, LinkFaultConfig};
+use sensor_fusion_fpga::math::{EulerAngles, Vec2};
+use sensor_fusion_fpga::motion::VibrationConfig;
+use sensor_fusion_fpga::sensor::DmuConfig;
 
 /// The catalog honours its contract: at least ten uniquely named
 /// scenarios, each resolvable by name, the paper pair present.
@@ -47,7 +50,9 @@ fn every_catalog_scenario_is_seed_deterministic() {
 /// non-reference substrates carry is actually populated.
 #[test]
 fn catalog_matrix_is_healthy_on_all_substrates() {
-    let report = ScenarioSuite::full_matrix().with_duration(8.0).run();
+    let report = ScenarioSuite::full_matrix()
+        .with_duration(8.0)
+        .run_parallel(0);
     assert_eq!(report.cells.len(), catalog::all().len() * 3);
     let unhealthy: Vec<String> = report
         .unhealthy()
@@ -87,48 +92,69 @@ fn catalog_matrix_is_healthy_on_all_substrates() {
     assert!(stream.fault_bits_flipped > 0, "no bits flipped: {stream:?}");
 }
 
-/// The paper-static and paper-dynamic suite cells are bit-identical
-/// to the legacy `ScenarioConfig::static_test` / `dynamic_test`
-/// results — the spec layer is a pure re-authoring, not a behaviour
-/// change.
+fn debug(x: &impl std::fmt::Debug) -> String {
+    format!("{x:?}")
+}
+
+/// The paper baseline, field by field. `ScenarioSpec::named` and
+/// `ScenarioSpec::config` are the only source of these constants, and
+/// the dynamic form moves only the environment and the tuning. The
+/// catalog's paper entries are these two forms with their own truth
+/// and seed. The expected-bits runs in `tests/arith_full_filter.rs`
+/// pin what the two forms compute.
 #[test]
-fn paper_cells_match_legacy_scenario_config_bit_for_bit() {
-    let duration = 60.0;
-    let paper = vec![
-        catalog::by_name("paper-static").expect("static entry"),
-        catalog::by_name("paper-dynamic").expect("dynamic entry"),
-    ];
-    let report = ScenarioSuite::new(paper.clone())
-        .with_substrates(&[Substrate::F64])
-        .with_duration(duration)
-        .run();
+fn paper_baseline_lowers_to_its_literal_config() {
+    let mut dmu = DmuConfig::default();
+    dmu.accel.error.noise_std = 0.004;
+    let assert_baseline =
+        |spec: &ScenarioSpec, vibration: VibrationConfig, flexure: f64, tuning: EstimatorConfig| {
+            let cfg = spec.config();
+            assert_eq!(cfg.true_misalignment, EulerAngles::zero());
+            assert_eq!(cfg.true_acc_bias, Vec2::new([0.02, -0.015]));
+            assert_eq!(cfg.duration_s, 300.0);
+            assert_eq!(debug(&cfg.dmu), debug(&dmu));
+            assert_eq!(cfg.acc_noise_sigma, 0.005);
+            assert_eq!(cfg.acc_rate_hz, 200.0);
+            assert_eq!(debug(&cfg.vibration), debug(&vibration));
+            assert_eq!(cfg.differential_vibration, flexure);
+            assert_eq!(debug(&cfg.estimator), debug(&tuning));
+            assert_eq!(cfg.link_faults, LinkFaultConfig::clean());
+            assert_eq!(cfg.seed, 0xB0B5);
+            assert_eq!(cfg.trace_decimation, 10);
+        };
 
-    let mut static_cfg = ScenarioConfig::static_test(paper[0].truth);
-    static_cfg.duration_s = duration;
-    static_cfg.seed = paper[0].seed;
-    let legacy_static = run_static(&static_cfg);
-    let cell = report
-        .cell("paper-static", Substrate::F64)
-        .expect("static cell");
-    assert_eq!(cell.summary.estimate, legacy_static.estimate);
-    assert_eq!(
-        cell.summary.exceed_rate.to_bits(),
-        legacy_static.exceed_rate.to_bits()
+    let paper_static = ScenarioSpec::named("x");
+    assert_baseline(
+        &paper_static,
+        VibrationConfig::none(),
+        0.0,
+        EstimatorConfig::paper_static(),
     );
-    assert_eq!(cell.summary.retune_count, legacy_static.retune_count);
+    let paper_dynamic = ScenarioSpec::named("x")
+        .with_trajectory(TrajectorySpec::Urban)
+        .with_environment(EnvironmentSpec::passenger_car())
+        .with_tuning(TuningSpec::Dynamic);
+    assert_baseline(
+        &paper_dynamic,
+        VibrationConfig::passenger_car(),
+        0.1,
+        EstimatorConfig::paper_dynamic(),
+    );
 
-    let mut dynamic_cfg = ScenarioConfig::dynamic_test(paper[1].truth);
-    dynamic_cfg.duration_s = duration;
-    dynamic_cfg.seed = paper[1].seed;
-    let legacy_dynamic = run_dynamic(&dynamic_cfg);
-    let cell = report
-        .cell("paper-dynamic", Substrate::F64)
-        .expect("dynamic cell");
-    assert_eq!(cell.summary.estimate, legacy_dynamic.estimate);
-    assert_eq!(
-        cell.summary.exceed_rate.to_bits(),
-        legacy_dynamic.exceed_rate.to_bits()
-    );
+    for (entry, form, seed) in [
+        (catalog::paper_static(), paper_static, 101),
+        (catalog::paper_dynamic(), paper_dynamic, 102),
+    ] {
+        assert_eq!(entry.seed, seed, "{}", entry.name);
+        assert_eq!(entry.trajectory, form.trajectory, "{}", entry.name);
+        let form = form.with_truth(entry.truth).with_seed(seed);
+        assert_eq!(
+            debug(&entry.config()),
+            debug(&form.config()),
+            "{}",
+            entry.name
+        );
+    }
 }
 
 /// The hill-climb scenario exercises the new `Grade` segment: pitch

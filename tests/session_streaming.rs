@@ -3,16 +3,15 @@
 //! interleaved multi-backend groups.
 
 use sensor_fusion_fpga::fusion::arith::{QArith, SoftArith};
-use sensor_fusion_fpga::fusion::scenario::{run_static, ScenarioConfig};
-use sensor_fusion_fpga::fusion::{ArithKf3, FusionSession, SessionGroup, SyntheticSource};
+use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
+use sensor_fusion_fpga::fusion::{ArithKf3, FusionSession, SessionGroup};
 use sensor_fusion_fpga::math::{rad_to_deg, EulerAngles};
-use sensor_fusion_fpga::motion::TiltTable;
 
-fn short_config(seed: u64) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::static_test(EulerAngles::from_degrees(2.0, -1.0, 1.5));
-    cfg.duration_s = 60.0;
-    cfg.seed = seed;
-    cfg
+fn short_spec(seed: u64) -> ScenarioSpec {
+    ScenarioSpec::named("streaming")
+        .with_truth(EulerAngles::from_degrees(2.0, -1.0, 1.5))
+        .with_duration(60.0)
+        .with_seed(seed)
 }
 
 /// Guards the session refactor against hidden global state: two runs
@@ -20,10 +19,10 @@ fn short_config(seed: u64) -> ScenarioConfig {
 /// every trace point, the exceed rate, the final estimate.
 #[test]
 fn sessions_with_same_seed_are_bit_identical() {
-    let cfg = short_config(0xD5EE);
-    let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
-    let a = FusionSession::from_scenario(&table, &cfg).into_result();
-    let b = FusionSession::from_scenario(&table, &cfg).into_result();
+    let spec = short_spec(0xD5EE);
+    let table = spec.lower_trajectory();
+    let a = spec.into_session(&table).into_result();
+    let b = spec.into_session(&table).into_result();
     assert_eq!(a, b, "same-seed sessions must agree bit for bit");
     // And the result is not degenerate.
     assert!(!a.residuals.is_empty());
@@ -34,20 +33,18 @@ fn sessions_with_same_seed_are_bit_identical() {
 /// above is not just a frozen RNG).
 #[test]
 fn sessions_with_different_seeds_differ() {
-    let table = TiltTable::observability_sequence(20.0, 60.0 / 8.0);
-    let a = FusionSession::from_scenario(&table, &short_config(1)).into_result();
-    let b = FusionSession::from_scenario(&table, &short_config(2)).into_result();
+    let a = short_spec(1).run();
+    let b = short_spec(2).run();
     assert_ne!(a.estimate.angles, b.estimate.angles);
 }
 
-/// The batch compat shim and a hand-stepped session are the same
-/// computation.
+/// The batch path (`ScenarioSpec::run`) and a hand-stepped session
+/// are the same computation.
 #[test]
 fn batch_shim_equals_hand_stepped_session() {
-    let cfg = short_config(7);
-    let batch = run_static(&cfg);
-    let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
-    let mut session = FusionSession::from_scenario(&table, &cfg);
+    let spec = short_spec(7);
+    let batch = spec.run();
+    let mut session = spec.into_session(spec.lower_trajectory());
     while !session.is_finished() {
         session.step(0.25);
     }
@@ -60,21 +57,22 @@ fn batch_shim_equals_hand_stepped_session() {
 #[test]
 fn concurrent_sessions_with_different_arith_backends_interleave() {
     let truth = EulerAngles::from_degrees(2.0, -1.5, 2.5);
-    let mut cfg = ScenarioConfig::static_test(truth);
-    cfg.duration_s = 60.0;
-    let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
+    let spec = ScenarioSpec::named("interleaved")
+        .with_truth(truth)
+        .with_duration(60.0);
+    let table = spec.lower_trajectory();
 
     let mut group = SessionGroup::new();
     let soft = group.push(
         FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &cfg))
+            .source_boxed(spec.into_source(&table))
             .backend(ArithKf3::with_defaults(SoftArith::default()))
             .truth(truth)
             .build(),
     );
     let fixed = group.push(
         FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &cfg))
+            .source_boxed(spec.into_source(&table))
             .backend(ArithKf3::with_defaults(QArith::<16>::default()))
             .truth(truth)
             .build(),
@@ -112,15 +110,15 @@ fn concurrent_sessions_with_different_arith_backends_interleave() {
 /// group (they are the same session type).
 #[test]
 fn mixed_production_and_ablation_backends_share_a_group() {
-    let cfg = short_config(21);
-    let table = TiltTable::observability_sequence(20.0, cfg.duration_s / 8.0);
+    let spec = short_spec(21);
+    let table = spec.lower_trajectory();
     let mut group = SessionGroup::new();
-    group.push(FusionSession::from_scenario(&table, &cfg));
+    group.push(spec.into_session(&table));
     group.push(
         FusionSession::builder()
-            .source(SyntheticSource::from_scenario(&table, &cfg))
+            .source_boxed(spec.into_source(&table))
             .backend(ArithKf3::with_defaults(QArith::<16>::default()))
-            .truth(cfg.true_misalignment)
+            .truth(spec.truth)
             .build(),
     );
     group.run_interleaved(0.5);
