@@ -1,5 +1,7 @@
 //! Filter-core benchmarks: one predict+update of the production
-//! 5-state IEKF and of the 3-state ablation filters.
+//! 5-state IEKF through the scalar API (the width-1 lane filter, with
+//! its `f64` force conversion and counted substrate; the lockstep rows
+//! live in `smallmat_kernels`) and of the 3-state ablation filters.
 
 use boresight::arith::{F64Arith, Kf3, QArith};
 use boresight::filter::{BoresightFilter, FilterConfig, GenericBoresightFilter};
@@ -11,7 +13,7 @@ fn bench_kalman(c: &mut Criterion) {
     let f_b = Vec3::new([1.0, -0.5, STANDARD_GRAVITY]);
     let z = Vec2::new([0.3, -0.2]);
 
-    c.bench_function("kalman/iekf5_update", |bench| {
+    c.bench_function("kalman/iekf5_x1_update", |bench| {
         let mut kf = BoresightFilter::new(FilterConfig::paper_static());
         let mut t = 0.0;
         bench.iter(|| {
@@ -20,7 +22,7 @@ fn bench_kalman(c: &mut Criterion) {
             black_box(kf.update(black_box(z), black_box(f_b), t))
         })
     });
-    c.bench_function("kalman/iekf5_fixed_update", |bench| {
+    c.bench_function("kalman/iekf5_x1_fixed_update", |bench| {
         let mut kf: GenericBoresightFilter<QArith<16>> =
             GenericBoresightFilter::new(FilterConfig::paper_static());
         let mut t = 0.0;

@@ -9,7 +9,7 @@
 //! lockstep lane filter at 1/2/4/8 lanes.
 
 use boresight::arith::{Arith, F64Arith, F64ArithFast, QArith, SoftArith};
-use boresight::filter::{jp_and_s, FilterConfig, GenericBoresightFilter};
+use boresight::filter::{jp_and_s, FilterConfig};
 use boresight::lanes::LaneIekf;
 use boresight::{model, smallmat};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -140,7 +140,8 @@ fn bench_measurement<A: Arith + Default>(c: &mut Criterion, name: &str) {
 
 /// One full predict + update step of the lockstep lane filter at `L`
 /// lanes. Throughput per filter is the reported time divided by `L` —
-/// the lane win is the gap to `L` times the scalar row.
+/// the lane win is the gap to `L` times the width-1 row (`x1`, the
+/// scalar filter's datapath).
 fn bench_lane_step<const L: usize>(c: &mut Criterion) {
     c.bench_function(&format!("lanes/iekf_step_x{L}"), |bench| {
         let mut kf: LaneIekf<F64ArithFast, L> = LaneIekf::new(FilterConfig::paper_static());
@@ -156,22 +157,6 @@ fn bench_lane_step<const L: usize>(c: &mut Criterion) {
     });
 }
 
-/// The scalar filter step the lane rows are compared against.
-fn bench_scalar_step(c: &mut Criterion) {
-    c.bench_function("lanes/iekf_step_scalar", |bench| {
-        let mut kf: GenericBoresightFilter<F64ArithFast> =
-            GenericBoresightFilter::new(FilterConfig::paper_static());
-        let f = Vec3::new([1.2, -0.8, STANDARD_GRAVITY]);
-        let z = Vec2::new([0.01, -0.005]);
-        let mut t = 0.0;
-        bench.iter(|| {
-            t += 0.005;
-            kf.predict(0.005);
-            black_box(kf.update(black_box(z), f, t))
-        })
-    });
-}
-
 fn bench_smallmat(c: &mut Criterion) {
     bench_substrate::<F64Arith>(c, "f64");
     bench_substrate::<F64ArithFast>(c, "f64_uncounted");
@@ -181,7 +166,7 @@ fn bench_smallmat(c: &mut Criterion) {
     bench_structured::<QArith<16>>(c, "q16.16");
     bench_measurement::<F64Arith>(c, "f64");
     bench_measurement::<SoftArith>(c, "softfloat");
-    bench_scalar_step(c);
+    bench_lane_step::<1>(c);
     bench_lane_step::<2>(c);
     bench_lane_step::<4>(c);
     bench_lane_step::<8>(c);

@@ -9,7 +9,8 @@
 //! [`Arith`] trait abstracts every scalar operation the filters
 //! perform, so the identical algorithms — the 3-state small-angle
 //! [`Kf3`] and the production 5-state iterated EKF
-//! ([`crate::filter::GenericBoresightFilter`]) — run in
+//! ([`crate::lanes::LaneIekf`], whose width-1 form is
+//! [`crate::filter::GenericBoresightFilter`]) — run in
 //!
 //! * native `f64` ([`F64Arith`]) — the reference,
 //! * native `f32` ([`F32Arith`]) — the cheap host float, half the
@@ -159,8 +160,9 @@ impl PhaseCost {
 
 /// Per-phase attribution of the filter's arithmetic: where in the
 /// algorithm the substrate's ops and cycles are spent. Maintained by
-/// [`crate::filter::GenericBoresightFilter`] from ledger snapshots at
-/// phase boundaries, so it works unchanged on every substrate
+/// [`crate::lanes::LaneIekf`] (and so by its width-1 form, the scalar
+/// filter) from ledger snapshots at phase boundaries, so it works
+/// unchanged on every substrate
 /// (including [`F64ArithFast`], where every delta is zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseLedger {
@@ -905,7 +907,7 @@ impl<const FRAC: u32> Arith for QArith<FRAC> {
 /// they are *collective*: true only when every lane agrees. Lockstep
 /// code that needs per-lane control flow (the gate, the trust region,
 /// IEKF convergence) must use the per-lane probes
-/// ([`LaneArith::lane_lt`], [`LaneArith::lane_to_f64`]) and mask its
+/// ([`LaneOps::lane_lt`], [`LaneOps::lane_to_f64`]) and mask its
 /// own writes — which is exactly what [`crate::lanes::LaneIekf`] does.
 /// [`Arith::max`] and [`Arith::abs`] stay element-wise (they are value
 /// selections, not control flow).
@@ -919,45 +921,13 @@ impl<const FRAC: u32> Arith for QArith<FRAC> {
 /// executes every instruction and the *caller* masks the writes of
 /// lanes that left the common control path — which is why
 /// [`crate::lanes::LaneIekf`] is generic over [`LaneOps`] and stays
-/// per-lane bit-identical to the scalar filter on either. The two
+/// per-lane bit-identical to its width-1 run on either. The two
 /// differ only in how the lanes are computed: a per-lane loop over the
 /// inner substrate here (autovectorized at best), one vector
 /// instruction per op there.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LaneArith<A: Arith, const L: usize> {
     inner: A,
-}
-
-impl<A: Arith, const L: usize> LaneArith<A, L> {
-    /// Wraps an inner substrate context.
-    pub fn new(inner: A) -> Self {
-        Self { inner }
-    }
-
-    /// The inner substrate context (one shared ledger across lanes).
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// The inner substrate context, mutably.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
-    /// Builds a lane value from per-lane `f64`s.
-    pub fn from_lanes(&mut self, xs: [f64; L]) -> [A::T; L] {
-        xs.map(|x| self.inner.num(x))
-    }
-
-    /// Reads one lane back as `f64`.
-    pub fn lane_to_f64(&self, v: &[A::T; L], lane: usize) -> f64 {
-        self.inner.to_f64(v[lane])
-    }
-
-    /// Per-lane strict less-than — the masked-control-flow probe.
-    pub fn lane_lt(&mut self, a: &[A::T; L], b: &[A::T; L]) -> [bool; L] {
-        std::array::from_fn(|i| self.inner.lt(a[i], b[i]))
-    }
 }
 
 impl<A: Arith, const L: usize> Arith for LaneArith<A, L> {
@@ -1060,7 +1030,9 @@ impl<A: Arith, const L: usize> Arith for LaneArith<A, L> {
 /// [`crate::simd::SimdArith<L>`]. Code written against
 /// `A: LaneSpec<L>` is oblivious to the choice — both lane forms
 /// implement [`LaneOps`] and both keep each lane bit-identical to a
-/// scalar run.
+/// width-1 run. (The width-1 scalar filter itself names its lane
+/// substrate directly, `LaneArith<A, 1>`, so it needs no `LaneSpec`
+/// and runs over any [`Arith`].)
 pub trait LaneSpec<const L: usize>: Arith + Sized
 where
     <Self::Lanes as Arith>::T: std::ops::IndexMut<usize, Output = Self::T>,

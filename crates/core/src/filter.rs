@@ -1,5 +1,5 @@
-//! The misalignment Kalman filter, generic over the arithmetic
-//! substrate.
+//! The misalignment Kalman filter: its configuration, its update
+//! record and the scalar filter.
 //!
 //! An extended Kalman filter over the state `[phi, theta, psi, bx, by]`
 //! (sensor misalignment Euler angles plus the two ACC bias states).
@@ -7,24 +7,23 @@
 //! with small process noise; each two-axis accelerometer sample is a
 //! nonlinear measurement handled with the analytic Jacobian of
 //! [`crate::model`]. The covariance update uses the Joseph form and is
-//! re-symmetrized each step, keeping `P` positive definite over
+//! kept exactly symmetric, keeping `P` positive definite over
 //! hour-long runs — the filter also reports the innovation and its
 //! 3-sigma bound, which is what the paper plots (Figure 8) and tunes
 //! against.
 //!
-//! Since the generic-arithmetic refactor the whole algorithm runs over
-//! any [`Arith`] number system: [`GenericBoresightFilter<A>`] performs
-//! every scalar operation through the substrate, with the linear
-//! algebra shared with the 3-state ablation filter via
-//! [`crate::smallmat`]. The hot path is *structure-exploiting*: one
-//! straight-line model + Jacobian evaluation per linearization point
-//! over the Euler factors' known zeros and ones, `J P` and `S` over
-//! the Jacobian's ([`jp_and_s`]), the gate pass reused as IEKF
-//! iteration 0, an exactly symmetric `P` (so `P J^T` is a
-//! transposition of `J P`), a closed-form 2x2 innovation solve and a
-//! rank-2 packed Joseph update — every saved multiply is a saved cycle
-//! in the Softfloat/fixed-point ledgers, and the
-//! [`crate::arith::PhaseLedger`] attributes where the remaining ops
+//! The algorithm is written once, for `L` lockstep lanes, in
+//! [`crate::lanes::LaneIekf`]; [`GenericBoresightFilter<A>`] is that
+//! filter at width 1 over any [`Arith`] number system, performing every
+//! scalar operation through the substrate. The hot path is
+//! *structure-exploiting*: one straight-line model + Jacobian
+//! evaluation per linearization point over the Euler factors' known
+//! zeros and ones, `J P` and `S` over the Jacobian's ([`jp_and_s`]),
+//! the gate pass reused as IEKF iteration 0, an exactly symmetric `P`
+//! (so `P J^T` is a transposition of `J P`), a closed-form 2x2
+//! innovation solve and a rank-2 packed Joseph update — every saved
+//! multiply is a saved cycle in the Softfloat/fixed-point ledgers, and
+//! the [`crate::arith::PhaseLedger`] attributes where the remaining ops
 //! land (predict / gate / update). [`BoresightFilter`] is the
 //! native-`f64` instantiation, pinned bit-for-bit against the
 //! reference trace in `tests/arith_full_filter.rs`. The structured
@@ -33,9 +32,9 @@
 //! Joseph and solve kernels are cross-checked against the dense
 //! kernels by proptest within ulp bounds.
 
-use crate::arith::{Arith, F64Arith, OpCounts, PhaseLedger};
-use crate::model::{self, Meas, State, StateCov, MEAS_DIM, STATE_DIM};
-use crate::smallmat;
+use crate::arith::{Arith, F64Arith, LaneArith, LaneOps, PhaseLedger};
+use crate::lanes::LaneIekf;
+use crate::model::{Meas, State, StateCov, MEAS_DIM, STATE_DIM};
 use mathx::{EulerAngles, Vec2, Vec3};
 
 /// Filter configuration.
@@ -128,7 +127,12 @@ impl KalmanUpdate {
     }
 }
 
-/// The extended Kalman filter over an arbitrary [`Arith`] substrate.
+/// The extended Kalman filter over an arbitrary [`Arith`] substrate:
+/// the lane filter [`LaneIekf`] at width 1 over `LaneArith<A, 1>`.
+///
+/// Every method reads or drives lane 0; the IEKF itself (predict, gate,
+/// iterations, Joseph update, trust region, phase attribution and state
+/// transfer) lives in [`crate::lanes`] only.
 ///
 /// # Examples
 ///
@@ -147,23 +151,7 @@ impl KalmanUpdate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GenericBoresightFilter<A: Arith> {
-    config: FilterConfig,
-    arith: A,
-    x: [A::T; STATE_DIM],
-    /// Kept **exactly symmetric** (bitwise): the update writes only
-    /// unique entries and mirrors them, prediction and the trust
-    /// region touch the diagonal only. The structure-exploiting update
-    /// kernels rely on this invariant (e.g. `P J^T` is read off `J P`
-    /// by transposition instead of a second 50-FMA product).
-    p: [[A::T; STATE_DIM]; STATE_DIM],
-    updates: u64,
-    rejected: u64,
-    phases: PhaseLedger,
-}
-
-/// `(counts, cycles)` snapshot for phase attribution.
-fn ledger_snapshot<A: Arith>(a: &A) -> (OpCounts, u64) {
-    (a.counts(), a.cycles())
+    lane: LaneIekf<A, 1, LaneArith<A, 1>>,
 }
 
 /// The native-`f64` filter — the reference instantiation every
@@ -197,438 +185,128 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// Creates a filter over an explicit arithmetic context (e.g. a
     /// [`crate::arith::SoftArith`] whose FPU ledger the caller wants to
     /// keep reading).
-    pub fn with_arith(mut arith: A, config: FilterConfig) -> Self {
-        let zero = arith.num(0.0);
-        let a2 = config.initial_angle_sigma * config.initial_angle_sigma;
-        let b2 = if config.estimate_bias {
-            config.initial_bias_sigma * config.initial_bias_sigma
-        } else {
-            0.0
-        };
-        let mut p = [[zero; STATE_DIM]; STATE_DIM];
-        for (i, row) in p.iter_mut().enumerate() {
-            row[i] = if i < 3 { arith.num(a2) } else { arith.num(b2) };
-        }
+    pub fn with_arith(arith: A, config: FilterConfig) -> Self {
         Self {
-            config,
-            arith,
-            x: [zero; STATE_DIM],
-            p,
-            updates: 0,
-            rejected: 0,
-            phases: PhaseLedger::default(),
+            lane: LaneIekf::with_arith(arith, config),
         }
     }
 
     /// The arithmetic context (inspect for op counts / cycle ledgers).
     pub fn arith(&self) -> &A {
-        &self.arith
+        self.lane.arith().inner()
     }
 
     /// The arithmetic context, mutably (the generic estimator runs its
     /// sensor-prep math through the same context so one ledger covers
     /// the whole algorithm).
     pub fn arith_mut(&mut self) -> &mut A {
-        &mut self.arith
-    }
-
-    /// The configuration (measurement sigma may have been retuned).
-    pub fn config(&self) -> &FilterConfig {
-        &self.config
+        self.lane.arith_mut().inner_mut()
     }
 
     /// Current measurement noise 1-sigma.
     pub fn measurement_sigma(&self) -> f64 {
-        self.config.measurement_sigma
+        self.lane.measurement_sigma(0)
     }
 
     /// Retunes the measurement noise (the adaptive monitor calls this).
     pub fn set_measurement_sigma(&mut self, sigma: f64) {
-        self.config.measurement_sigma = sigma.max(1e-6);
+        self.lane.set_measurement_sigma(0, sigma);
     }
 
     /// Estimated misalignment angles.
     pub fn angles(&self) -> EulerAngles {
-        EulerAngles::new(
-            self.arith.to_f64(self.x[0]),
-            self.arith.to_f64(self.x[1]),
-            self.arith.to_f64(self.x[2]),
-        )
+        self.lane.angles(0)
     }
 
     /// Estimated ACC biases, m/s^2.
     pub fn bias(&self) -> Vec2 {
-        Vec2::new([self.arith.to_f64(self.x[3]), self.arith.to_f64(self.x[4])])
+        self.lane.bias(0)
     }
 
     /// Full state vector, converted to `f64`.
     pub fn state(&self) -> State {
-        let mut out = State::zeros();
-        for i in 0..STATE_DIM {
-            out[i] = self.arith.to_f64(self.x[i]);
-        }
-        out
+        self.lane.state(0)
     }
 
     /// State covariance, converted to `f64`.
     pub fn covariance(&self) -> StateCov {
-        let mut out = StateCov::zeros();
-        for r in 0..STATE_DIM {
-            for c in 0..STATE_DIM {
-                out[(r, c)] = self.arith.to_f64(self.p[r][c]);
-            }
-        }
-        out
+        self.lane.covariance(0)
     }
 
-    /// 1-sigma of each misalignment angle, rad. Runs over a cloned
-    /// arithmetic context (a read-out, not part of the algorithm's op
-    /// ledger).
+    /// 1-sigma of each misalignment angle, rad (a read-out over a
+    /// cloned context, not part of the algorithm's op ledger).
     pub fn angle_sigma(&self) -> Vec3
     where
         A: Clone,
     {
-        let mut a = self.arith.clone();
-        let zero = a.num(0.0);
-        let mut out = [0.0; 3];
-        for (i, o) in out.iter_mut().enumerate() {
-            let m = a.max(self.p[i][i], zero);
-            let s = a.sqrt(m);
-            *o = a.to_f64(s);
-        }
-        Vec3::new(out)
+        self.lane.angle_sigma(0)
     }
 
     /// Accepted updates so far.
     pub fn update_count(&self) -> u64 {
-        self.updates
+        self.lane.update_count(0)
     }
 
-    /// Gate-rejected updates so far.
+    /// Rejected updates so far (gate rejections and singular
+    /// innovations).
     pub fn rejected_count(&self) -> u64 {
-        self.rejected
+        self.lane.rejected_count(0)
     }
 
-    /// Time propagation over `dt` seconds: the state transition is the
-    /// identity (a random walk), so the full `F P F^T + Q` collapses
-    /// to the symmetric diagonal bump `P += Q dt` — no dense products,
-    /// no work off the diagonal, symmetry preserved by construction.
+    /// Time propagation over `dt` seconds (`P += Q dt`).
     pub fn predict(&mut self, dt: f64) {
-        if dt <= 0.0 {
-            return;
-        }
-        let before = ledger_snapshot(&self.arith);
-        let qa = self.config.angle_process_density.powi(2) * dt;
-        let qb = if self.config.estimate_bias {
-            self.config.bias_process_density.powi(2) * dt
-        } else {
-            0.0
-        };
-        let a = &mut self.arith;
-        let qa_t = a.num(qa);
-        let qb_t = a.num(qb);
-        for i in 0..3 {
-            self.p[i][i] = a.add(self.p[i][i], qa_t);
-        }
-        for i in 3..STATE_DIM {
-            self.p[i][i] = a.add(self.p[i][i], qb_t);
-        }
-        let after = ledger_snapshot(&self.arith);
-        self.phases.predict.charge(before, after);
+        self.lane.predict(dt);
     }
 
     /// Where the substrate's ops and cycles were spent, by algorithm
-    /// phase (predict / gate / update). Arithmetic the filter did not
-    /// run — the estimator's sensor prep, diagnostics over cloned
-    /// contexts — is the difference between [`Arith::counts`] and
-    /// [`PhaseLedger::tracked_ops`].
+    /// phase (see [`LaneIekf::phase_ledger`]).
     pub fn phase_ledger(&self) -> &PhaseLedger {
-        &self.phases
+        self.lane.phase_ledger()
     }
 
     /// Measurement update with the ACC sample `z` (m/s^2, x'/y') given
     /// the concurrent IMU specific force `f_b`. Returns the update
     /// record for residual monitoring.
-    ///
-    /// Runs the iterated EKF: the measurement is relinearized
-    /// [`FilterConfig::iekf_iterations`] times around the improving
-    /// estimate (Gauss-Newton on the MAP objective), then the
-    /// covariance is updated in Joseph form at the final
-    /// linearization point.
     pub fn update(&mut self, z: Meas, f_b: Vec3, time_s: f64) -> KalmanUpdate {
-        let fb = [
-            self.arith.num(f_b[0]),
-            self.arith.num(f_b[1]),
-            self.arith.num(f_b[2]),
-        ];
-        self.update_t(z, fb, time_s)
+        let [update] = self.lane.update_lanes(&[z], &[f_b], time_s);
+        update
     }
 
     /// [`Self::update`] with the specific force already in the
     /// substrate (the generic estimator's lever-arm and slope math
     /// produces it there).
-    ///
-    /// This is the structure-exploiting hot path: one straight-line
-    /// model + Jacobian evaluation per linearization point
-    /// ([`model::h_and_jacobian_generic`]), `J P` and the symmetric `S`
-    /// over the Jacobian's zeros and ones ([`jp_and_s`]), the gate-pass
-    /// model reused verbatim for IEKF iteration 0 (its linearization
-    /// point *is* the prior), the 2x2 innovation solved closed-form
-    /// ([`smallmat::inverse2_sym`]), `P J^T` read off `J P` by
-    /// transposition (valid because `P` is kept exactly symmetric) and
-    /// the Joseph update specialized to the rank-2 measurement
-    /// ([`smallmat::joseph_update_sym`]).
     pub fn update_t(&mut self, z: Meas, f_b: [A::T; 3], time_s: f64) -> KalmanUpdate {
-        let gate_before = ledger_snapshot(&self.arith);
-        let r = self.config.measurement_sigma.powi(2);
-        let estimate_bias = self.config.estimate_bias;
-        let a = &mut self.arith;
-        let r_t = a.num(r);
-        let zero = a.num(0.0);
-        let zt = [a.num(z[0]), a.num(z[1])];
-        let x_pred = self.x;
-
-        // First-pass innovation and its sigma: this is what the
-        // residual monitor sees (z minus the prior prediction).
-        let (h0, jac0) = model::h_and_jacobian_generic(a, &x_pred, &f_b, estimate_bias);
-        let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
-        let (jp0, s0) = jp_and_s(a, &jac0, &self.p, r_t, estimate_bias);
-        let m0 = a.max(s0[0][0], zero);
-        let sig0 = a.sqrt(m0);
-        let m1 = a.max(s0[1][1], zero);
-        let sig1 = a.sqrt(m1);
-        let innovation = Vec2::new([a.to_f64(innov_t[0]), a.to_f64(innov_t[1])]);
-        let sigma = Vec2::new([a.to_f64(sig0), a.to_f64(sig1)]);
-
-        // Gate on the per-axis normalized innovation.
-        if self.config.gate_sigmas > 0.0 {
-            let g = a.num(self.config.gate_sigmas);
-            let exceed0 = {
-                let ai = a.abs(innov_t[0]);
-                let gs = a.mul(g, sig0);
-                a.lt(gs, ai)
-            };
-            let exceeded = exceed0 || {
-                let ai = a.abs(innov_t[1]);
-                let gs = a.mul(g, sig1);
-                a.lt(gs, ai)
-            };
-            if exceeded {
-                self.rejected += 1;
-                self.phases
-                    .gate
-                    .charge(gate_before, ledger_snapshot(&self.arith));
-                return KalmanUpdate {
-                    time_s,
-                    innovation,
-                    innovation_sigma: sigma,
-                    accepted: false,
-                };
-            }
-        }
-        let update_before = ledger_snapshot(&self.arith);
-        self.phases.gate.charge(gate_before, update_before);
-
-        let a = &mut self.arith;
-        let iterations = self.config.iekf_iterations.max(1);
-        let eps = a.num(1e-12);
-        let mut x_i = x_pred;
-        // Iteration 0 relinearizes at x_i = x_pred — exactly where the
-        // gate pass just evaluated the model — so its h, J, J P and S
-        // are the gate's, reused, not recomputed.
-        let mut h_i = h0;
-        let mut jac = jac0;
-        let mut jp = jp0;
-        let mut s = s0;
-        let mut gain: Option<[[A::T; MEAS_DIM]; STATE_DIM]> = None;
-        for iter in 0..iterations {
-            if iter > 0 {
-                (h_i, jac) = model::h_and_jacobian_generic(a, &x_i, &f_b, estimate_bias);
-                (jp, s) = jp_and_s(a, &jac, &self.p, r_t, estimate_bias);
-            }
-            let s_inv = match smallmat::inverse2_sym(a, &s) {
-                Some(inv) => inv,
-                None => {
-                    self.rejected += 1;
-                    self.phases
-                        .update
-                        .charge(update_before, ledger_snapshot(&self.arith));
-                    return KalmanUpdate {
-                        time_s,
-                        innovation,
-                        innovation_sigma: sigma,
-                        accepted: false,
-                    };
-                }
-            };
-            // P J^T == (J P)^T entry for entry because P is exactly
-            // symmetric — pure data movement instead of 50 FMAs.
-            let pjt = smallmat::transpose(a, &jp);
-            let k = smallmat::mul(a, &pjt, &s_inv);
-            // IEKF residual: z - h(x_i) - H (x_pred - x_i).
-            let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
-            let dx = smallmat::vec_sub(a, &x_pred, &x_i);
-            let jdx = smallmat::mat_vec(a, &jac, &dx);
-            let resid = [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])];
-            let kr = smallmat::mat_vec(a, &k, &resid);
-            let x_next = smallmat::vec_add(a, &x_pred, &kr);
-            let dstep = smallmat::vec_sub(a, &x_next, &x_i);
-            let step = smallmat::vec_max_abs(a, &dstep);
-            x_i = x_next;
-            gain = Some(k);
-            if a.lt(step, eps) {
-                break;
-            }
-        }
-        let k = gain.expect("at least one iteration ran");
-        self.x = x_i;
-        if !estimate_bias {
-            self.x[3] = zero;
-            self.x[4] = zero;
-        }
-        // Rank-2 Joseph-form covariance update at the final
-        // linearization, upper triangle mirrored (keeps P exactly
-        // symmetric for the next update's transposition shortcut).
-        self.p = smallmat::joseph_update_sym(a, &self.p, &k, &jac, r_t);
-        self.apply_trust_region();
-        self.updates += 1;
-        self.phases
-            .update
-            .charge(update_before, ledger_snapshot(&self.arith));
-        KalmanUpdate {
-            time_s,
-            innovation,
-            innovation_sigma: sigma,
-            accepted: true,
-        }
-    }
-
-    /// Clamps the state to its physical trust region, re-opening the
-    /// variance of any clamped component (see [`FilterConfig`]).
-    fn apply_trust_region(&mut self) {
-        let a = &mut self.arith;
-        if self.config.angle_limit > 0.0 {
-            let lim = a.num(self.config.angle_limit);
-            let floor = a.num((self.config.initial_angle_sigma * 0.5).powi(2));
-            for i in 0..3 {
-                let ax = a.abs(self.x[i]);
-                if a.lt(lim, ax) {
-                    self.x[i] = clamp_sym(a, self.x[i], lim);
-                    if a.lt(self.p[i][i], floor) {
-                        self.p[i][i] = floor;
-                    }
-                }
-            }
-        }
-        if self.config.bias_limit > 0.0 && self.config.estimate_bias {
-            let lim = a.num(self.config.bias_limit);
-            let floor = a.num((self.config.initial_bias_sigma * 0.5).powi(2));
-            for i in 3..STATE_DIM {
-                let ax = a.abs(self.x[i]);
-                if a.lt(lim, ax) {
-                    self.x[i] = clamp_sym(a, self.x[i], lim);
-                    if a.lt(self.p[i][i], floor) {
-                        self.p[i][i] = floor;
-                    }
-                }
-            }
-        }
+        let [update] = self
+            .lane
+            .update_lanes_t(&[z], f_b.map(|v| [v]), &[time_s], &[false]);
+        update
     }
 
     /// Checks that the covariance is still symmetric positive definite
-    /// (diagnostics; `true` means healthy). Runs over a cloned
-    /// arithmetic context so the diagnostic does not pollute the
-    /// algorithm's op ledger.
+    /// (diagnostics; `true` means healthy).
     pub fn covariance_healthy(&self) -> bool
     where
         A: Clone,
     {
-        let mut a = self.arith.clone();
-        let asym = smallmat::asymmetry(&mut a, &self.p);
-        let tol = a.num(1e-9);
-        // "Not above tolerance" rather than "below": on a fixed-point
-        // substrate the tolerance itself quantizes to zero, and the
-        // exactly-mirrored covariance (asymmetry exactly zero) must
-        // still count as symmetric.
-        !a.lt(tol, asym) && smallmat::cholesky_ok(&mut a, &self.p)
+        self.lane.covariance_healthy(0)
     }
 
     /// Exports the filter's algorithmic state through `f64` — the
     /// substrate-agnostic half of the adaptive supervisor's state
-    /// transfer ([`crate::adaptive`]). Reads each unique covariance
-    /// entry once (conversions are uncounted, so the op and cycle
-    /// ledgers are untouched).
+    /// transfer ([`crate::adaptive`]).
     pub fn export_snapshot(&self) -> crate::adaptive::FilterSnapshot {
-        let mut x = [0.0; STATE_DIM];
-        for (out, value) in x.iter_mut().zip(self.x.iter()) {
-            *out = self.arith.to_f64(*value);
-        }
-        let mut p_upper = [0.0; crate::adaptive::snapshot::PACKED_COV];
-        let mut k = 0;
-        for i in 0..STATE_DIM {
-            for j in i..STATE_DIM {
-                p_upper[k] = self.arith.to_f64(self.p[i][j]);
-                k += 1;
-            }
-        }
-        crate::adaptive::FilterSnapshot {
-            x,
-            p_upper,
-            updates: self.updates,
-            rejected: self.rejected,
-            measurement_sigma: self.config.measurement_sigma,
-            phases: self.phases,
-        }
+        self.lane.export_snapshot(0)
     }
 
     /// Imports a snapshot into this filter's substrate, replacing its
-    /// state. Each unique covariance entry converts once and is
-    /// mirrored, preserving the exact-bitwise-symmetry invariant on
-    /// `P`; diagonal entries are floored at the substrate's
-    /// [`crate::adaptive::positive_quantum`] so a healthy covariance
-    /// stays positive-definite through quantization. The accepted /
-    /// rejected counters, the retuned measurement sigma and the
-    /// per-phase attribution carry over; the substrate's own op
-    /// ledger is left untouched.
+    /// state (see [`LaneIekf::import_snapshot`]).
     pub fn import_snapshot(&mut self, snapshot: &crate::adaptive::FilterSnapshot) {
-        let quantum = crate::adaptive::positive_quantum(&mut self.arith);
-        for (slot, value) in self.x.iter_mut().zip(snapshot.x.iter()) {
-            *slot = self.arith.num(*value);
-        }
-        let mut k = 0;
-        for i in 0..STATE_DIM {
-            for j in i..STATE_DIM {
-                let mut value = snapshot.p_upper[k];
-                if i == j {
-                    value = value.max(quantum);
-                }
-                let converted = self.arith.num(value);
-                self.p[i][j] = converted;
-                self.p[j][i] = converted;
-                k += 1;
-            }
-        }
-        self.updates = snapshot.updates;
-        self.rejected = snapshot.rejected;
-        self.config.measurement_sigma = snapshot.measurement_sigma.max(1e-6);
-        self.phases = snapshot.phases;
-    }
-}
-
-/// `x` clamped to `[-lim, lim]` (mirrors `f64::clamp`'s branch order).
-fn clamp_sym<A: Arith>(a: &mut A, x: A::T, lim: A::T) -> A::T {
-    let nlim = a.neg(lim);
-    if a.lt(x, nlim) {
-        nlim
-    } else if a.lt(lim, x) {
-        lim
-    } else {
-        x
+        self.lane.import_snapshot(0, snapshot);
     }
 }
 
 /// `J P` and the innovation covariance `S = J P J^T + r I` for a
-/// Jacobian `jac` of [`model::h_and_jacobian_generic`]'s structure:
+/// Jacobian `jac` of [`crate::model::h_and_jacobian_generic`]'s structure:
 /// `jac[0][0]` is a literal zero and the bias columns are the 0/1
 /// selector `estimate_bias` picks.
 ///
@@ -639,9 +317,8 @@ fn clamp_sym<A: Arith>(a: &mut A, x: A::T, lim: A::T) -> A::T {
 /// **bit-identical** to the pair on every substrate (on IEEE substrates
 /// up to the sign of an exactly-zero entry, as for the model kernel):
 /// 33 multiplies and fused multiply-adds instead of 65. `S` is
-/// computed on and above the diagonal and mirrored. Both filters call
-/// it at the gate and at every IEKF relinearization, so the lane
-/// filter's parity holds by construction.
+/// computed on and above the diagonal and mirrored. The IEKF calls it
+/// at the gate and at every relinearization.
 #[allow(clippy::type_complexity)]
 pub fn jp_and_s<A: Arith>(
     a: &mut A,

@@ -1,17 +1,20 @@
-//! Multi-lane lockstep fusion: `L` independent 5-state IEKFs stepped
-//! through one shared instruction stream.
+//! The 5-state iterated EKF, written once for `L` lockstep lanes.
 //!
 //! The paper's FPGA argument is that a fixed algorithm earns its
-//! throughput from *replicated datapaths*, not faster sequencers. This
-//! module is the software mirror of that: [`LaneIekf`] keeps `L`
-//! filters' states in structure-of-arrays form and runs every
-//! arithmetic operation once per instruction across all lanes through
-//! the scalar substrate's [`LaneSpec`] lane form — the per-lane loop
+//! throughput from *replicated datapaths*, not faster sequencers, and a
+//! scalar filter is simply one copy of that datapath. This module is
+//! the software mirror of it and holds the crate's only IEKF:
+//! [`LaneIekf`] keeps `L` filters' states in structure-of-arrays form
+//! and runs every arithmetic operation once per instruction across all
+//! lanes through a lane substrate ([`LaneOps`]) — the per-lane loop
 //! [`crate::arith::LaneArith`] for every counted/emulated/fixed-point
 //! substrate (on native `f64` the loops autovectorize, on emulated
 //! substrates the per-op dispatch overhead is amortized over `L`
 //! results), or the explicit-vector [`crate::simd::SimdArith`] when
-//! the filter is keyed on [`crate::simd::SimdF64`].
+//! the filter is keyed on [`crate::simd::SimdF64`]. The scalar
+//! [`crate::filter::GenericBoresightFilter`] is this filter at width 1
+//! over `LaneArith<A, 1>`, which is why it works for any [`Arith`], not
+//! just the substrates with a [`LaneSpec`].
 //!
 //! Lanes are *independent filters*, so per-lane control flow (the
 //! innovation gate, IEKF convergence, trust-region clamps, solver
@@ -19,60 +22,83 @@
 //! every lane executes every instruction, and diverging lanes have
 //! their writes masked. A masked lane burns its lane slot — exactly
 //! like an idle parallel datapath — but its value stream is
-//! **bit-identical** to a scalar [`crate::filter::GenericBoresightFilter`] run
-//! (pinned per-lane by `tests/lane_parity.rs`).
+//! **bit-identical** to the same filter run at width 1 (pinned per lane
+//! by `tests/lane_parity.rs`). Work that only some lanes need (the
+//! clamp of an out-of-bounds component, the gate's second axis, the
+//! rest of a solve once every lane has failed a pivot) is done per lane
+//! or skipped as a group, so `L` identical lanes cost exactly `L` times
+//! one lane on every counted substrate.
 //!
 //! [`LaneBank`] packages a lane filter plus the shared IMU front end
 //! ([`ImuPrep`]) and per-lane residual monitors as a
-//! [`FusionBackend`], fusing `L` synchronized ACC channels in one
-//! session — the batched alternative to `L` scalar estimators or a
-//! [`crate::multi::MultiBoresight`] bank.
+//! [`FusionBackend`], fusing `L` synchronized ACC channels — several
+//! sensors aligned against one IMU — in one session.
 
 // Index-based loops are deliberate: they mirror the masked per-lane
 // writes of a SIMD datapath (and the matrix equations behind them).
 #![allow(clippy::needless_range_loop)]
 
-use crate::arith::{Arith, LaneOps, LaneSpec};
+use crate::adaptive::snapshot::{positive_quantum, FilterSnapshot, PACKED_COV};
+use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts, PhaseLedger};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
 use crate::filter::{jp_and_s, FilterConfig, KalmanUpdate};
-use crate::model::{self, MEAS_DIM, STATE_DIM};
+use crate::model::{self, State, StateCov, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
 use crate::smallmat;
 use mathx::{EulerAngles, Vec2, Vec3};
 use sensors::DmuSample;
 use std::any::Any;
-
-/// The lane value stepping `L` scalars of substrate `A` at once —
-/// `[A::T; L]` for [`crate::arith::LaneArith`] lanes,
-/// [`crate::simd::F64Lanes`] for explicit-vector lanes. Either way it
-/// indexes as `value[lane] -> A::T`.
-type LaneT<A, const L: usize> = <<A as LaneSpec<L>>::Lanes as Arith>::T;
+use std::ops::IndexMut;
 
 /// `L` independent 5-state iterated EKFs in lockstep over the inner
-/// substrate `A`.
+/// substrate `A`, computed through the lane substrate `LA` (by default
+/// the one `A`'s [`LaneSpec`] names).
 ///
-/// Mirrors the structure-exploiting scalar update of
-/// [`crate::filter::GenericBoresightFilter`] instruction for instruction; lanes that
-/// diverge in control flow (gate rejection, convergence, singular
-/// innovation) have their state writes masked so each lane's result is
-/// bit-identical to its scalar run.
+/// The state is `[phi, theta, psi, bx, by]` (misalignment Euler angles
+/// plus the two ACC bias states). Prediction is a random walk; each
+/// measurement update relinearizes the two-axis ACC model
+/// [`FilterConfig::iekf_iterations`] times, solves the 2x2 innovation
+/// in closed form and updates the covariance in rank-2 Joseph form —
+/// see [`crate::filter`] for the structure the hot path exploits.
+/// Lanes that diverge in control flow (gate rejection, convergence,
+/// singular innovation) have their state writes masked, so each lane's
+/// result is bit-identical to its own width-1 run.
 ///
 /// All lanes share one [`FilterConfig`]; the measurement sigma is
-/// per-lane (adaptive retunes fire independently).
+/// per-lane (adaptive retunes fire independently). One arithmetic
+/// context, and so one op ledger and one [`PhaseLedger`], serves the
+/// whole lane group.
 #[derive(Clone, Debug)]
-pub struct LaneIekf<A: LaneSpec<L>, const L: usize> {
+pub struct LaneIekf<A: Arith, const L: usize, LA = <A as LaneSpec<L>>::Lanes>
+where
+    LA: LaneOps<L, Inner = A>,
+    LA::T: IndexMut<usize, Output = A::T>,
+{
     config: FilterConfig,
-    arith: A::Lanes,
+    arith: LA,
     sigmas: [f64; L],
-    x: [LaneT<A, L>; STATE_DIM],
-    /// Kept exactly symmetric per lane, like the scalar filter's.
-    p: [[LaneT<A, L>; STATE_DIM]; STATE_DIM],
+    x: [LA::T; STATE_DIM],
+    /// Kept **exactly symmetric** (bitwise) per lane: the update writes
+    /// only unique entries and mirrors them, prediction and the trust
+    /// region touch the diagonal only. The update reads `P J^T` off
+    /// `J P` by transposition, which relies on this invariant.
+    p: [[LA::T; STATE_DIM]; STATE_DIM],
     updates: [u64; L],
     rejected: [u64; L],
+    phases: PhaseLedger,
 }
 
-impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
+/// `(counts, cycles)` snapshot for phase attribution.
+fn ledger_snapshot<A: Arith>(a: &A) -> (OpCounts, u64) {
+    (a.counts(), a.cycles())
+}
+
+impl<A: Arith, const L: usize, LA> LaneIekf<A, L, LA>
+where
+    LA: LaneOps<L, Inner = A>,
+    LA::T: IndexMut<usize, Output = A::T>,
+{
     /// Creates the lane filter over the substrate's default context.
     pub fn new(config: FilterConfig) -> Self
     where
@@ -81,50 +107,37 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         Self::with_arith(A::default(), config)
     }
 
-    /// Creates the lane filter over an explicit inner context.
+    /// Creates the lane filter over an explicit inner context (e.g. a
+    /// [`crate::arith::SoftArith`] whose FPU ledger the caller wants to
+    /// keep reading).
     pub fn with_arith(inner: A, config: FilterConfig) -> Self {
-        let mut arith = <A::Lanes as LaneOps<L>>::with_inner(inner);
+        let mut arith = LA::with_inner(inner);
         let zero = arith.num(0.0);
-        let a2 = config.initial_angle_sigma * config.initial_angle_sigma;
-        let b2 = if config.estimate_bias {
-            config.initial_bias_sigma * config.initial_bias_sigma
-        } else {
-            0.0
-        };
-        let mut p = [[zero; STATE_DIM]; STATE_DIM];
-        for (i, row) in p.iter_mut().enumerate() {
-            row[i] = if i < 3 { arith.num(a2) } else { arith.num(b2) };
-        }
-        Self {
+        let mut filter = Self {
             config,
             arith,
             sigmas: [config.measurement_sigma; L],
             x: [zero; STATE_DIM],
-            p,
+            p: [[zero; STATE_DIM]; STATE_DIM],
             updates: [0; L],
             rejected: [0; L],
+            phases: PhaseLedger::default(),
+        };
+        for lane in 0..L {
+            filter.reset_lane(lane);
         }
-    }
-
-    /// Number of lanes.
-    pub const fn lanes(&self) -> usize {
-        L
+        filter
     }
 
     /// The lane arithmetic context (one shared ledger for all lanes).
-    pub fn arith(&self) -> &A::Lanes {
+    pub fn arith(&self) -> &LA {
         &self.arith
     }
 
     /// The lane arithmetic context, mutably (substrate `num`
     /// conversions mutate the instrumentation ledger).
-    pub fn arith_mut(&mut self) -> &mut A::Lanes {
+    pub fn arith_mut(&mut self) -> &mut LA {
         &mut self.arith
-    }
-
-    /// The configuration shared by every lane.
-    pub fn config(&self) -> &FilterConfig {
-        &self.config
     }
 
     /// One lane's measurement noise 1-sigma.
@@ -132,7 +145,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         self.sigmas[lane]
     }
 
-    /// Retunes one lane's measurement noise.
+    /// Retunes one lane's measurement noise (the adaptive monitor
+    /// calls this).
     pub fn set_measurement_sigma(&mut self, lane: usize, sigma: f64) {
         self.sigmas[lane] = sigma.max(1e-6);
     }
@@ -154,8 +168,29 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         ])
     }
 
-    /// One lane's per-angle 1-sigma, rad (read-out over a cloned
-    /// context, like the scalar filter's).
+    /// One lane's full state vector, converted to `f64`.
+    pub fn state(&self, lane: usize) -> State {
+        let mut out = State::zeros();
+        for i in 0..STATE_DIM {
+            out[i] = self.arith.lane_to_f64(&self.x[i], lane);
+        }
+        out
+    }
+
+    /// One lane's state covariance, converted to `f64`.
+    pub fn covariance(&self, lane: usize) -> StateCov {
+        let mut out = StateCov::zeros();
+        for r in 0..STATE_DIM {
+            for c in 0..STATE_DIM {
+                out[(r, c)] = self.arith.lane_to_f64(&self.p[r][c], lane);
+            }
+        }
+        out
+    }
+
+    /// One lane's 1-sigma of each misalignment angle, rad. Runs over a
+    /// cloned arithmetic context (a read-out, not part of the
+    /// algorithm's op ledger).
     pub fn angle_sigma(&self, lane: usize) -> Vec3
     where
         A: Clone,
@@ -176,7 +211,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         self.updates[lane]
     }
 
-    /// One lane's gate-rejected count.
+    /// One lane's rejected count (gate rejections and singular
+    /// innovations).
     pub fn rejected_count(&self, lane: usize) -> u64 {
         self.rejected[lane]
     }
@@ -193,10 +229,39 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         }
     }
 
+    /// Where the lane group's ops and cycles were spent, by algorithm
+    /// phase (predict / gate / update). Arithmetic the filter did not
+    /// run — an estimator's sensor prep, diagnostics over cloned
+    /// contexts — is the difference between [`Arith::counts`] and
+    /// [`PhaseLedger::tracked_ops`].
+    pub fn phase_ledger(&self) -> &PhaseLedger {
+        &self.phases
+    }
+
+    /// Checks that one lane's covariance is still symmetric positive
+    /// definite (diagnostics; `true` means healthy). Runs over a cloned
+    /// arithmetic context so the diagnostic does not pollute the
+    /// algorithm's op ledger.
+    pub fn covariance_healthy(&self, lane: usize) -> bool
+    where
+        A: Clone,
+    {
+        let mut a = self.arith.inner().clone();
+        let p = self.export_lane(lane).p;
+        let asym = smallmat::asymmetry(&mut a, &p);
+        let tol = a.num(1e-9);
+        // "Not above tolerance" rather than "below": on a fixed-point
+        // substrate the tolerance itself quantizes to zero, and the
+        // exactly-mirrored covariance (asymmetry exactly zero) must
+        // still count as symmetric.
+        !a.lt(tol, asym) && smallmat::cholesky_ok(&mut a, &p)
+    }
+
     /// Exports one lane's complete filter state (state vector,
-    /// covariance, adaptive sigma, counters) for migration into
-    /// another lane — the primitive behind the fleet arena's
-    /// compact-on-evict slot moves.
+    /// covariance, adaptive sigma, counters) in the substrate — the one
+    /// per-lane state-transfer path. The fleet arena moves vehicles
+    /// between slots with it (compact-on-evict) and
+    /// [`Self::export_snapshot`] converts it for a substrate swap.
     pub fn export_lane(&self, lane: usize) -> LaneState<A> {
         LaneState {
             x: std::array::from_fn(|i| self.x[i][lane]),
@@ -221,9 +286,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         self.rejected[lane] = state.rejected;
     }
 
-    /// Re-initializes one lane to the fresh-filter state (the per-lane
-    /// mirror of [`Self::with_arith`]'s init), so a recycled slot is
-    /// indistinguishable from a newly constructed filter.
+    /// Re-initializes one lane to the fresh-filter state, so a recycled
+    /// slot is indistinguishable from a newly constructed filter.
     pub fn reset_lane(&mut self, lane: usize) {
         let a2 = self.config.initial_angle_sigma * self.config.initial_angle_sigma;
         let b2 = if self.config.estimate_bias {
@@ -252,38 +316,83 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         self.rejected[lane] = 0;
     }
 
-    /// Time propagation, all lanes at once (lanes run in lockstep on a
-    /// common schedule): the symmetric diagonal bump `P += Q dt`.
-    pub fn predict(&mut self, dt: f64) {
-        if dt <= 0.0 {
-            return;
+    /// Exports one lane's algorithmic state through `f64` — the
+    /// substrate-agnostic half of the adaptive supervisor's state
+    /// transfer ([`crate::adaptive`]). Conversions are uncounted, so
+    /// the op and cycle ledgers are untouched. The phase ledger rides
+    /// along (for a width-1 filter it is that filter's own).
+    pub fn export_snapshot(&self, lane: usize) -> FilterSnapshot {
+        let state = self.export_lane(lane);
+        let a = self.arith.inner();
+        let mut p_upper = [0.0; PACKED_COV];
+        let mut k = 0;
+        for i in 0..STATE_DIM {
+            for j in i..STATE_DIM {
+                p_upper[k] = a.to_f64(state.p[i][j]);
+                k += 1;
+            }
         }
-        let qa = self.config.angle_process_density.powi(2) * dt;
-        let qb = if self.config.estimate_bias {
-            self.config.bias_process_density.powi(2) * dt
-        } else {
-            0.0
+        FilterSnapshot {
+            x: state.x.map(|v| a.to_f64(v)),
+            p_upper,
+            updates: state.updates,
+            rejected: state.rejected,
+            measurement_sigma: state.sigma,
+            phases: self.phases,
+        }
+    }
+
+    /// Imports a snapshot into one lane, in this filter's substrate.
+    /// Each unique covariance entry converts once and is mirrored,
+    /// preserving the exact-bitwise-symmetry invariant on `P`; diagonal
+    /// entries are floored at the substrate's [`positive_quantum`] so a
+    /// healthy covariance stays positive-definite through quantization.
+    /// The counters, the retuned measurement sigma and the phase
+    /// ledger carry over; the substrate's own op ledger is untouched.
+    pub fn import_snapshot(&mut self, lane: usize, snapshot: &FilterSnapshot) {
+        let a = self.arith.inner_mut();
+        let quantum = positive_quantum(a);
+        let mut p = [[a.num(0.0); STATE_DIM]; STATE_DIM];
+        let mut k = 0;
+        for i in 0..STATE_DIM {
+            for j in i..STATE_DIM {
+                let mut value = snapshot.p_upper[k];
+                if i == j {
+                    value = value.max(quantum);
+                }
+                p[i][j] = a.num(value);
+                p[j][i] = p[i][j];
+                k += 1;
+            }
+        }
+        let state = LaneState {
+            x: snapshot.x.map(|v| a.num(v)),
+            p,
+            sigma: snapshot.measurement_sigma.max(1e-6),
+            updates: snapshot.updates,
+            rejected: snapshot.rejected,
         };
-        let a = &mut self.arith;
-        let qa_t = a.num(qa);
-        let qb_t = a.num(qb);
-        for i in 0..3 {
-            self.p[i][i] = a.add(self.p[i][i], qa_t);
-        }
-        for i in 3..STATE_DIM {
-            self.p[i][i] = a.add(self.p[i][i], qb_t);
-        }
+        self.import_lane(lane, &state);
+        self.phases = snapshot.phases;
+    }
+
+    /// Time propagation over `dt` seconds, all lanes at once (lanes run
+    /// in lockstep on a common schedule). The state transition is the
+    /// identity (a random walk), so `F P F^T + Q` collapses to the
+    /// symmetric diagonal bump `P += Q dt`.
+    pub fn predict(&mut self, dt: f64) {
+        self.predict_lanes(&[dt; L]);
     }
 
     /// Time propagation with a distinct `dt` per lane (fleet lanes hold
     /// unrelated vehicles on unsynchronized measurement schedules).
-    /// Lanes with `dt <= 0` are untouched — the per-lane mirror of the
-    /// scalar filter's early return — so each lane's covariance stream
-    /// stays bit-identical to a scalar filter run on its own schedule.
+    /// Lanes with `dt <= 0` are untouched, so each lane's covariance
+    /// stream stays bit-identical to a width-1 run on its own schedule.
     pub fn predict_lanes(&mut self, dts: &[f64; L]) {
         if dts.iter().all(|&dt| dt <= 0.0) {
             return;
         }
+        let before = ledger_snapshot(&self.arith);
         let qa: [f64; L] = dts.map(|dt| {
             if dt > 0.0 {
                 self.config.angle_process_density.powi(2) * dt
@@ -310,6 +419,9 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                 }
             }
         }
+        self.phases
+            .predict
+            .charge(before, ledger_snapshot(&self.arith));
     }
 
     /// Measurement update, all lanes at once: lane `i` fuses `z[i]`
@@ -335,13 +447,10 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         f_b: &[Vec3; L],
         time_s: f64,
     ) -> [KalmanUpdate; L] {
-        let zero = self.arith.inner_mut().num(0.0);
-        let mut fb = [self.arith.splat(zero); 3];
-        for axis in 0..3 {
-            for lane in 0..L {
-                fb[axis][lane] = self.arith.inner_mut().num(f_b[lane][axis]);
-            }
-        }
+        let fb = std::array::from_fn(|axis| {
+            self.arith
+                .from_lanes(std::array::from_fn(|lane| f_b[lane][axis]))
+        });
         self.update_lanes_t(z, fb, &[time_s; L], &[false; L])
     }
 
@@ -354,12 +463,12 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
     ///
     /// Inactive lanes still execute the shared instruction stream with
     /// masked writes — exactly how gate-rejected lanes are handled —
-    /// so every active lane's result stays bit-identical to a scalar
+    /// so every active lane's result stays bit-identical to a width-1
     /// filter fed only that lane's schedule.
     pub fn update_lanes_masked(
         &mut self,
         z: &[Vec2; L],
-        f_b: [LaneT<A, L>; 3],
+        f_b: [LA::T; 3],
         times: &[f64; L],
         active: &[bool; L],
     ) -> [Option<KalmanUpdate>; L] {
@@ -368,24 +477,36 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         std::array::from_fn(|lane| active[lane].then(|| updates[lane]))
     }
 
-    /// The lockstep mirror of the scalar filter's `update_t`.
+    /// The measurement update every entry point runs: the iterated EKF
+    /// relinearizes the measurement [`FilterConfig::iekf_iterations`]
+    /// times around the improving estimate (Gauss-Newton on the MAP
+    /// objective), then updates the covariance in Joseph form at the
+    /// final linearization point.
+    ///
+    /// The hot path exploits the problem's structure: one straight-line
+    /// model + Jacobian evaluation per linearization point
+    /// ([`model::h_and_jacobian_generic`]), `J P` and the symmetric `S`
+    /// over the Jacobian's zeros and ones ([`jp_and_s`]), the gate-pass
+    /// model reused verbatim for IEKF iteration 0 (its linearization
+    /// point *is* the prior), the 2x2 innovation solved closed-form,
+    /// `P J^T` read off `J P` by transposition (valid because `P` is
+    /// kept exactly symmetric) and the Joseph update specialized to the
+    /// rank-2 measurement ([`smallmat::joseph_update_sym`]).
     ///
     /// `inactive` lanes are frozen from the start: they execute every
     /// instruction with writes masked (state, covariance, counters all
     /// untouched) and their returned records are meaningless.
-    fn update_lanes_t(
+    pub(crate) fn update_lanes_t(
         &mut self,
         z: &[Vec2; L],
-        f_b: [LaneT<A, L>; 3],
+        f_b: [LA::T; 3],
         times: &[f64; L],
         inactive: &[bool; L],
     ) -> [KalmanUpdate; L] {
+        let gate_before = ledger_snapshot(&self.arith);
         let estimate_bias = self.config.estimate_bias;
         let a = &mut self.arith;
-        let r_t = {
-            let sigmas = self.sigmas;
-            a.from_lanes(sigmas.map(|s| s * s))
-        };
+        let r_t = a.from_lanes(self.sigmas.map(|s| s * s));
         let zero = a.num(0.0);
         let zt = [
             a.from_lanes(std::array::from_fn(|i| z[i][0])),
@@ -393,8 +514,9 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         ];
         let x_pred = self.x;
 
-        // --- Gate pass (identical instruction stream to the scalar
-        // filter; decisions extracted per lane) -----------------------
+        // --- Gate pass -------------------------------------------------
+        // First-pass innovation and its sigma: this is what the
+        // residual monitor sees (z minus the prior prediction).
         let (h0, jac0) = model::h_and_jacobian_generic(a, &x_pred, &f_b, estimate_bias);
         let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
         let (jp0, s0) = jp_and_s(a, &jac0, &self.p, r_t, estimate_bias);
@@ -403,37 +525,50 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         let m1 = a.max(s0[1][1], zero);
         let sig1 = a.sqrt(m1);
 
+        // Gate on the per-axis normalized innovation. Axis 1 is probed
+        // only while some live lane passed axis 0 (a lane that failed
+        // axis 0 is rejected whatever axis 1 says).
         let mut rejectd = [false; L];
         if self.config.gate_sigmas > 0.0 {
             let g = a.num(self.config.gate_sigmas);
             let ai0 = a.abs(innov_t[0]);
             let gs0 = a.mul(g, sig0);
             let exceed0 = a.lane_lt(&gs0, &ai0);
-            let ai1 = a.abs(innov_t[1]);
-            let gs1 = a.mul(g, sig1);
-            let exceed1 = a.lane_lt(&gs1, &ai1);
             for lane in 0..L {
-                rejectd[lane] = !inactive[lane] && (exceed0[lane] || exceed1[lane]);
+                rejectd[lane] = !inactive[lane] && exceed0[lane];
+            }
+            if (0..L).any(|lane| !inactive[lane] && !exceed0[lane]) {
+                let ai1 = a.abs(innov_t[1]);
+                let gs1 = a.mul(g, sig1);
+                let exceed1 = a.lane_lt(&gs1, &ai1);
+                for lane in 0..L {
+                    rejectd[lane] |= !inactive[lane] && exceed1[lane];
+                }
             }
         }
+        let update_before = ledger_snapshot(&self.arith);
+        self.phases.gate.charge(gate_before, update_before);
 
-        // --- IEKF iterations with per-lane freeze masks --------------
+        // --- IEKF iterations with per-lane freeze masks ----------------
+        let a = &mut self.arith;
         let iterations = self.config.iekf_iterations.max(1);
-        let eps = a.num(1e-12);
-        let eps_scalar = eps[0];
+        let inner = a.inner_mut();
+        let (eps, tiny, zero_s) = (inner.num(1e-12), inner.num(1e-300), inner.num(0.0));
         let mut x_i = x_pred;
+        // Iteration 0 relinearizes at x_i = x_pred — exactly where the
+        // gate pass just evaluated the model — so its h, J, J P and S
+        // are the gate's, reused, not recomputed.
         let mut h_i = h0;
         let mut jac = jac0;
         let mut jp = jp0;
         let mut s = s0;
         // Final per-lane linearization and gain for the Joseph update.
         let mut jac_fin = jac0;
-        let mut k_fin: [[LaneT<A, L>; MEAS_DIM]; STATE_DIM] = [[zero; MEAS_DIM]; STATE_DIM];
+        let mut k_fin = [[zero; MEAS_DIM]; STATE_DIM];
         // A frozen lane has finished iterating (converged, rejected,
         // singular or inactive); its x/jac/k writes are masked from
-        // then on. When every lane is already frozen (the whole batch
-        // gate-rejected or inactive) the loop — and the Joseph update
-        // below — never run at all, mirroring the scalar early return.
+        // then on. When every lane is frozen the loop — and the Joseph
+        // update below — stop.
         let mut frozen: [bool; L] = std::array::from_fn(|lane| rejectd[lane] || inactive[lane]);
         for iter in 0..iterations {
             if frozen.iter().all(|f| *f) {
@@ -443,10 +578,27 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                 (h_i, jac) = model::h_and_jacobian_generic(a, &x_i, &f_b, estimate_bias);
                 (jp, s) = jp_and_s(a, &jac, &self.p, r_t, estimate_bias);
             }
-            let active: [bool; L] = std::array::from_fn(|lane| !frozen[lane]);
-            let s_inv = inverse2_sym_lanes(a, &s, &mut rejectd, &mut frozen, &active);
+            // A lane whose pivot fails is singular: rejected and frozen,
+            // its possibly non-finite inverse masked out below. The
+            // solve stops, like a width-1 solve, once no lane is left.
+            let solved = smallmat::inverse2_sym_pivoted(a, &s, |a, d| {
+                for lane in 0..L {
+                    let inner = a.inner_mut();
+                    if !frozen[lane] && (inner.lt(d[lane], tiny) || inner.eq(d[lane], zero_s)) {
+                        rejectd[lane] = true;
+                        frozen[lane] = true;
+                    }
+                }
+                frozen.iter().any(|f| !f)
+            });
+            let Some(s_inv) = solved else {
+                break;
+            };
+            // P J^T == (J P)^T entry for entry because P is exactly
+            // symmetric — pure data movement instead of 50 FMAs.
             let pjt = smallmat::transpose(a, &jp);
             let k = smallmat::mul(a, &pjt, &s_inv);
+            // IEKF residual: z - h(x_i) - H (x_pred - x_i).
             let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
             let dx = smallmat::vec_sub(a, &x_pred, &x_i);
             let jdx = smallmat::mat_vec(a, &jac, &dx);
@@ -457,7 +609,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
             let step = smallmat::vec_max_abs(a, &dstep);
             for lane in 0..L {
                 // A lane newly marked singular this iteration was
-                // active when s_inv ran but must not adopt its garbage.
+                // active when the solve ran but must not adopt its
+                // garbage.
                 if frozen[lane] {
                     continue;
                 }
@@ -472,16 +625,16 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                         jac_fin[row][col][lane] = jac[row][col][lane];
                     }
                 }
-                if a.inner_mut().lt(step[lane], eps_scalar) {
+                if a.inner_mut().lt(step[lane], eps) {
                     frozen[lane] = true;
                 }
             }
         }
 
-        // --- Adopt per lane ------------------------------------------
+        // --- Adopt per lane --------------------------------------------
         // Lanes to leave untouched below: inactive lanes took no
         // measurement at all, rejected lanes keep prior state and
-        // covariance like the scalar early return.
+        // covariance.
         let skip: [bool; L] = std::array::from_fn(|lane| rejectd[lane] || inactive[lane]);
         for lane in 0..L {
             if inactive[lane] {
@@ -502,9 +655,11 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
             self.x[4] = zero;
         }
         if !skip.iter().all(|s| *s) {
+            // Rank-2 Joseph-form covariance update at the final
+            // linearization, upper triangle mirrored (keeps P exactly
+            // symmetric for the next update's transposition shortcut).
             let p_prior = self.p;
-            let p_next = smallmat::joseph_update_sym(a, &p_prior, &k_fin, &jac_fin, r_t);
-            self.p = p_next;
+            self.p = smallmat::joseph_update_sym(a, &p_prior, &k_fin, &jac_fin, r_t);
             for lane in 0..L {
                 if skip[lane] {
                     for row in 0..STATE_DIM {
@@ -516,8 +671,11 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
             }
             self.apply_trust_region(&skip);
         }
+        self.phases
+            .update
+            .charge(update_before, ledger_snapshot(&self.arith));
 
-        // --- Records -------------------------------------------------
+        // --- Records ---------------------------------------------------
         std::array::from_fn(|lane| KalmanUpdate {
             time_s: times[lane],
             innovation: Vec2::new([
@@ -532,11 +690,12 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         })
     }
 
-    /// The per-lane mirror of the scalar trust region: clamp any
-    /// out-of-bounds component and re-open its variance, with both
-    /// writes masked to the offending lanes (rejected lanes saw no
-    /// update and are skipped, like the scalar early return path).
-    fn apply_trust_region(&mut self, rejected: &[bool; L]) {
+    /// Clamps each lane's state to its physical trust region,
+    /// re-opening the variance of any clamped component (see
+    /// [`FilterConfig::angle_limit`]). The bounds test runs on every
+    /// lane; the clamp and the variance floor run only on the lanes
+    /// that left the region (`skip` lanes saw no update).
+    fn apply_trust_region(&mut self, skip: &[bool; L]) {
         let limits = [
             (
                 0..3,
@@ -559,32 +718,34 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
             }
             let a = &mut self.arith;
             let lim = a.num(limit);
-            let lim_s = lim[0];
-            let floor = a.num((sigma0 * 0.5).powi(2));
-            let floor_s = floor[0];
+            let floor = a.inner_mut().num((sigma0 * 0.5).powi(2));
             for i in range {
                 let ax = a.abs(self.x[i]);
                 let out_of_bounds = a.lane_lt(&lim, &ax);
-                let nlim = a.inner_mut().neg(lim_s);
                 for lane in 0..L {
-                    if rejected[lane] || !out_of_bounds[lane] {
+                    if skip[lane] || !out_of_bounds[lane] {
                         continue;
                     }
-                    let v = self.x[i][lane];
                     let inner = a.inner_mut();
-                    self.x[i][lane] = if inner.lt(v, nlim) {
-                        nlim
-                    } else if inner.lt(lim_s, v) {
-                        lim_s
-                    } else {
-                        v
-                    };
-                    if inner.lt(self.p[i][i][lane], floor_s) {
-                        self.p[i][i][lane] = floor_s;
+                    self.x[i][lane] = clamp_sym(inner, self.x[i][lane], lim[lane]);
+                    if inner.lt(self.p[i][i][lane], floor) {
+                        self.p[i][i][lane] = floor;
                     }
                 }
             }
         }
+    }
+}
+
+/// `x` clamped to `[-lim, lim]` (mirrors `f64::clamp`'s branch order).
+fn clamp_sym<A: Arith>(a: &mut A, x: A::T, lim: A::T) -> A::T {
+    let nlim = a.neg(lim);
+    if a.lt(x, nlim) {
+        nlim
+    } else if a.lt(lim, x) {
+        lim
+    } else {
+        x
     }
 }
 
@@ -603,60 +764,26 @@ pub struct LaneState<A: Arith> {
     rejected: u64,
 }
 
-/// Per-lane mirror of [`smallmat::inverse2_sym`]: the closed-form LDL
-/// solve runs for every lane; a lane whose pivot check fails is marked
-/// rejected + frozen (the scalar filter's singular early return) and
-/// its — possibly non-finite — inverse is masked out by the caller.
-fn inverse2_sym_lanes<LA: LaneOps<L>, const L: usize>(
-    a: &mut LA,
-    s: &[[LA::T; 2]; 2],
-    rejected: &mut [bool; L],
-    frozen: &mut [bool; L],
-    active: &[bool; L],
-) -> [[LA::T; 2]; 2]
-where
-    LA::T: std::ops::IndexMut<usize, Output = <LA::Inner as Arith>::T>,
-{
-    let zero = a.num(0.0);
-    let tiny = a.num(1e-300);
-    let one = a.num(1.0);
-    let d1 = s[0][0];
-    let flag = |a: &mut LA, d: &LA::T, rejected: &mut [bool; L], frozen: &mut [bool; L]| {
-        for lane in 0..L {
-            if !active[lane] {
-                continue;
-            }
-            let inner = a.inner_mut();
-            if inner.lt(d[lane], tiny[lane]) || inner.eq(d[lane], zero[lane]) {
-                rejected[lane] = true;
-                frozen[lane] = true;
-            }
-        }
-    };
-    flag(a, &d1, rejected, frozen);
-    let l = a.div(s[1][0], d1);
-    let lt = a.mul(l, s[0][1]);
-    let d2 = a.sub(s[1][1], lt);
-    flag(a, &d2, rejected, frozen);
-    let i11 = a.div(one, d2);
-    let nl = a.neg(l);
-    let i01 = a.mul(nl, i11);
-    let inv_d1 = a.div(one, d1);
-    let li01 = a.mul(l, i01);
-    let i00 = a.sub(inv_d1, li01);
-    [[i00, i01], [i01, i11]]
-}
-
 /// `L` synchronized ACC channels fused against one shared IMU stream
-/// by a lockstep [`LaneIekf`] — the batched-backend counterpart of a
-/// [`crate::multi::MultiBoresight`] bank of scalar estimators.
+/// by a lockstep [`LaneIekf`] — the paper's proposed multi-sensor
+/// extension.
+///
+/// "Future implementations will demonstrate self-aligning and
+/// self-referencing methods for dynamic alignment of multiple sensors
+/// ... it can readily be extended to fuse data from multiple sensors
+/// together (eg. lidar and video)." Each sensor carries its own
+/// two-axis ACC and every lane aligns one sensor to the common body
+/// frame, which also aligns the sensors to each other:
+/// [`LaneBank::relative_alignment`] returns the rotation between any
+/// two sensors without any direct cross-sensor calibration. All lanes
+/// share one [`EstimatorConfig`]; each lane's residual monitor retunes
+/// its own measurement sigma.
 ///
 /// Channels must arrive in lockstep: every sensor index `0..L` posts a
 /// measurement with the same timestamp before the next time step (the
 /// multi-channel [`crate::session::SyntheticSource`] produces exactly
 /// this). The batched update runs when the last channel of a time
-/// step arrives; that call returns its lane's update record, and
-/// [`LaneBank::last_updates`] exposes the whole batch.
+/// step arrives, and that call returns its lane's update record.
 pub struct LaneBank<A: LaneSpec<L>, const L: usize> {
     config: EstimatorConfig,
     filter: LaneIekf<A, L>,
@@ -667,7 +794,6 @@ pub struct LaneBank<A: LaneSpec<L>, const L: usize> {
     pending_time: f64,
     pending_count: usize,
     last_update_time: f64,
-    last_updates: [Option<KalmanUpdate>; L],
     retune_log: Vec<Retune>,
 }
 
@@ -691,7 +817,6 @@ impl<A: LaneSpec<L> + Default, const L: usize> LaneBank<A, L> {
             pending_time: 0.0,
             pending_count: 0,
             last_update_time: 0.0,
-            last_updates: [None; L],
             retune_log: Vec::new(),
         }
     }
@@ -701,9 +826,17 @@ impl<A: LaneSpec<L> + Default, const L: usize> LaneBank<A, L> {
         &self.filter
     }
 
-    /// The most recent batch of per-lane update records.
-    pub fn last_updates(&self) -> &[Option<KalmanUpdate>; L] {
-        &self.last_updates
+    /// The rotation carrying sensor `from`'s frame into sensor `to`'s
+    /// frame, derived purely from each sensor's alignment to the
+    /// common body frame: `C_to_from = C_to_b * C_b_from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn relative_alignment(&self, from: usize, to: usize) -> EulerAngles {
+        let c_b_from = self.filter.angles(from).dcm(); // from -> body
+        let c_b_to = self.filter.angles(to).dcm(); // to -> body
+        (c_b_to.transpose() * c_b_from).euler() // to <- body <- from
     }
 }
 
@@ -747,9 +880,7 @@ impl<A: LaneSpec<L> + Clone + 'static, const L: usize> FusionBackend for LaneBan
                 }
             }
         }
-        let result = updates[sensor];
-        self.last_updates = updates.map(Some);
-        Some(result)
+        Some(updates[sensor])
     }
 
     fn current_estimate(&self) -> MisalignmentEstimate {
@@ -806,7 +937,8 @@ mod tests {
     use super::*;
     use crate::arith::F64Arith;
     use crate::filter::GenericBoresightFilter;
-    use mathx::STANDARD_GRAVITY;
+    use mathx::rng::seeded_rng;
+    use mathx::{rad_to_deg, GaussianSampler, STANDARD_GRAVITY};
 
     /// Which lanes take the outlier sample in the parity harness.
     #[derive(Clone, Copy, PartialEq)]
@@ -819,7 +951,28 @@ mod tests {
         (0..L).map(|_| GenericBoresightFilter::new(cfg)).collect()
     }
 
-    /// Drives the lane filter and L scalar filters through the same
+    /// Asserts per-lane bit-identity of state, covariance and counters
+    /// between a lane filter and one width-1 filter per lane.
+    fn assert_lanes_match<const L: usize>(
+        lanes: &LaneIekf<F64Arith, L>,
+        scalars: &[GenericBoresightFilter<F64Arith>],
+    ) {
+        for (lane, kf) in scalars.iter().enumerate() {
+            assert_eq!(kf.update_count(), lanes.update_count(lane), "lane {lane}");
+            assert_eq!(kf.rejected_count(), lanes.rejected_count(lane));
+            let (x, p) = (lanes.state(lane), lanes.covariance(lane));
+            for r in 0..STATE_DIM {
+                let bits = kf.state()[r].to_bits();
+                assert_eq!(bits, x[r].to_bits(), "lane {lane} x[{r}]");
+                for c in 0..STATE_DIM {
+                    let bits = kf.covariance()[(r, c)].to_bits();
+                    assert_eq!(bits, p[(r, c)].to_bits(), "lane {lane} P[{r}][{c}]");
+                }
+            }
+        }
+    }
+
+    /// Drives the lane filter and L width-1 filters through the same
     /// schedule and asserts per-lane bit-identity of state, covariance
     /// and counters.
     fn assert_lockstep_parity<const L: usize>(
@@ -861,25 +1014,7 @@ mod tests {
                 );
             }
         }
-        for (lane, kf) in scalars.iter().enumerate() {
-            let a = kf.angles();
-            let b = lanes.angles(lane);
-            assert_eq!(a.roll.to_bits(), b.roll.to_bits(), "lane {lane} roll");
-            assert_eq!(a.pitch.to_bits(), b.pitch.to_bits(), "lane {lane} pitch");
-            assert_eq!(a.yaw.to_bits(), b.yaw.to_bits(), "lane {lane} yaw");
-            assert_eq!(kf.update_count(), lanes.update_count(lane), "lane {lane}");
-            assert_eq!(kf.rejected_count(), lanes.rejected_count(lane));
-            let p = kf.covariance();
-            for r in 0..STATE_DIM {
-                for c in 0..STATE_DIM {
-                    assert_eq!(
-                        p[(r, c)].to_bits(),
-                        lanes.arith().lane_to_f64(&lanes.p[r][c], lane).to_bits(),
-                        "lane {lane} P[{r}][{c}]"
-                    );
-                }
-            }
-        }
+        assert_lanes_match(&lanes, &scalars);
     }
 
     #[test]
@@ -957,25 +1092,7 @@ mod tests {
                 }
             }
         }
-        for (lane, kf) in scalars.iter().enumerate() {
-            let a = kf.angles();
-            let b = lanes.angles(lane);
-            assert_eq!(a.roll.to_bits(), b.roll.to_bits(), "lane {lane} roll");
-            assert_eq!(a.pitch.to_bits(), b.pitch.to_bits(), "lane {lane} pitch");
-            assert_eq!(a.yaw.to_bits(), b.yaw.to_bits(), "lane {lane} yaw");
-            assert_eq!(kf.update_count(), lanes.update_count(lane));
-            assert_eq!(kf.rejected_count(), lanes.rejected_count(lane));
-            let p = kf.covariance();
-            for r in 0..STATE_DIM {
-                for c in 0..STATE_DIM {
-                    assert_eq!(
-                        p[(r, c)].to_bits(),
-                        lanes.arith().lane_to_f64(&lanes.p[r][c], lane).to_bits(),
-                        "lane {lane} P[{r}][{c}]"
-                    );
-                }
-            }
-        }
+        assert_lanes_match(&lanes, &scalars);
     }
 
     /// Export → reset → import must round-trip a lane bit-exactly, and
@@ -1008,13 +1125,11 @@ mod tests {
         );
         assert_eq!(lanes.update_count(2), 0);
         assert_eq!(lanes.measurement_sigma(2), cfg.measurement_sigma);
+        let (p, p_fresh) = (lanes.covariance(2), fresh.covariance(2));
         for r in 0..STATE_DIM {
             for c in 0..STATE_DIM {
-                assert_eq!(
-                    lanes.arith().lane_to_f64(&lanes.p[r][c], 2).to_bits(),
-                    fresh.arith().lane_to_f64(&fresh.p[r][c], 2).to_bits(),
-                    "reset P[{r}][{c}]"
-                );
+                let bits = p[(r, c)].to_bits();
+                assert_eq!(bits, p_fresh[(r, c)].to_bits(), "reset P[{r}][{c}]");
             }
         }
         lanes.import_lane(2, &snapshot);
@@ -1025,17 +1140,94 @@ mod tests {
         assert_eq!(lanes.measurement_sigma(2), 0.042);
     }
 
+    /// Two sensors with different true misalignments, hand-fed against
+    /// the same excitation through a two-lane bank.
+    fn run_two(truth_a: EulerAngles, truth_b: EulerAngles, n: usize) -> LaneBank<F64Arith, 2> {
+        let mut bank = LaneBank::new(EstimatorConfig::paper_static());
+        let c_a = truth_a.dcm().transpose();
+        let c_b = truth_b.dcm().transpose();
+        let mut rng = seeded_rng(5);
+        let mut gauss = GaussianSampler::new();
+        let g = STANDARD_GRAVITY;
+        for i in 0..n {
+            let t = i as f64 * 0.005;
+            let f = Vec3::new([
+                2.0 * (0.5 * t).sin() + g * 0.2 * (0.07 * t).sin(),
+                1.5 * (0.33 * t).cos(),
+                g,
+            ]);
+            if i % 2 == 0 {
+                bank.ingest_dmu(&DmuSample {
+                    seq: (i / 2) as u16,
+                    time_s: t,
+                    gyro: Vec3::zeros(),
+                    accel: f,
+                });
+            }
+            for (idx, c) in [(0usize, &c_a), (1usize, &c_b)] {
+                let f_s = c.rotate(f);
+                let z = Vec2::new([
+                    f_s[0] + gauss.sample_scaled(&mut rng, 0.0, 0.007),
+                    f_s[1] + gauss.sample_scaled(&mut rng, 0.0, 0.007),
+                ]);
+                bank.ingest_acc(idx, t, z);
+            }
+        }
+        bank
+    }
+
+    #[test]
+    fn each_sensor_converges_independently() {
+        let truth_a = EulerAngles::from_degrees(2.0, -1.0, 1.5);
+        let truth_b = EulerAngles::from_degrees(-3.0, 2.0, -1.0);
+        let bank = run_two(truth_a, truth_b, 30_000);
+        let ea = bank.estimate_for(0).angles.error_to(&truth_a);
+        let eb = bank.estimate_for(1).angles.error_to(&truth_b);
+        assert!(rad_to_deg(ea.max_abs()) < 0.3, "{:?}", ea.to_degrees());
+        assert!(rad_to_deg(eb.max_abs()) < 0.3, "{:?}", eb.to_degrees());
+    }
+
+    #[test]
+    fn relative_alignment_without_cross_calibration() {
+        let truth_a = EulerAngles::from_degrees(2.0, -1.0, 1.5);
+        let truth_b = EulerAngles::from_degrees(-3.0, 2.0, -1.0);
+        let bank = run_two(truth_a, truth_b, 30_000);
+        let rel = bank.relative_alignment(0, 1);
+        // Ground truth relative rotation.
+        let expected = (truth_b.dcm().transpose() * truth_a.dcm()).euler();
+        let err = rel.error_to(&expected);
+        assert!(
+            rad_to_deg(err.max_abs()) < 0.5,
+            "relative {:?} vs {:?}",
+            rel.to_degrees(),
+            expected.to_degrees()
+        );
+    }
+
+    #[test]
+    fn self_relative_alignment_is_identity() {
+        let truth = EulerAngles::from_degrees(1.0, 1.0, 1.0);
+        let bank = run_two(truth, truth, 5_000);
+        let rel = bank.relative_alignment(0, 0);
+        assert!(rad_to_deg(rel.max_abs()) < 1e-9);
+    }
+
+    /// The two-sensor rig driven by a `FusionSession` over a
+    /// two-channel synthetic source instead of hand-fed samples: each
+    /// sensor converges to its own truth and the bank hands back their
+    /// relative alignment.
     #[test]
     fn lane_bank_runs_in_a_session() {
         use crate::session::{ChannelConfig, FusionSession, SyntheticSource};
         use crate::spec::ScenarioSpec;
 
-        let truth = EulerAngles::from_degrees(2.0, -1.0, 1.5);
-        let spec = ScenarioSpec::named("lane-bank")
-            .with_truth(truth)
-            .with_duration(30.0);
+        let truth_a = EulerAngles::from_degrees(2.0, -1.0, 1.5);
+        let truth_b = EulerAngles::from_degrees(-3.0, 2.0, -1.0);
+        let spec = ScenarioSpec::named("two-sensor-rig")
+            .with_truth(truth_a)
+            .with_duration(120.0);
         let cfg = spec.config();
-        let channel = ChannelConfig {
+        let channel = |truth| ChannelConfig {
             misalignment: truth,
             noise_sigma: 0.007,
             ..ChannelConfig::ideal()
@@ -1048,8 +1240,8 @@ mod tests {
             cfg.duration_s,
             cfg.seed,
         )
-        .with_channel(&channel)
-        .with_channel(&channel);
+        .with_channel(&channel(truth_a))
+        .with_channel(&channel(truth_b));
         let mut session = FusionSession::builder()
             .source(source)
             .backend(LaneBank::<F64Arith, 2>::new(EstimatorConfig::paper_static()))
@@ -1060,5 +1252,64 @@ mod tests {
             let est = session.estimate_for(lane);
             assert!(est.updates > 5000, "lane {lane}: {}", est.updates);
         }
+
+        let ea = session.estimate_for(0).angles.error_to(&truth_a);
+        let eb = session.estimate_for(1).angles.error_to(&truth_b);
+        assert!(rad_to_deg(ea.max_abs()) < 0.3, "{:?}", ea.to_degrees());
+        assert!(rad_to_deg(eb.max_abs()) < 0.3, "{:?}", eb.to_degrees());
+
+        let bank: &LaneBank<F64Arith, 2> = session.backend_as().expect("lane bank backend");
+        assert_eq!(bank.sensor_count(), 2);
+        let rel = bank.relative_alignment(0, 1);
+        let expected = (truth_b.dcm().transpose() * truth_a.dcm()).euler();
+        let err = rel.error_to(&expected);
+        assert!(
+            rad_to_deg(err.max_abs()) < 0.5,
+            "relative {:?} vs {:?}",
+            rel.to_degrees(),
+            expected.to_degrees()
+        );
+    }
+
+    #[test]
+    fn retunes_merge_across_lanes_in_firing_order() {
+        // One shared static tuning: lane 1 is fed vibration-grade noise,
+        // so only its monitor retunes; the backend totals must still see
+        // it even though lane 0 stays quiet.
+        let mut cfg = EstimatorConfig::paper_static();
+        cfg.filter.measurement_sigma = 0.003;
+        let mut bank: LaneBank<F64Arith, 2> = LaneBank::new(cfg);
+        let mut rng = seeded_rng(9);
+        let mut gauss = GaussianSampler::new();
+        let g = STANDARD_GRAVITY;
+        for i in 0..5000 {
+            let t = i as f64 * 0.005;
+            bank.ingest_dmu(&DmuSample {
+                seq: i as u16,
+                time_s: t,
+                gyro: Vec3::zeros(),
+                accel: Vec3::new([0.0, 0.0, g]),
+            });
+            bank.ingest_acc(0, t, Vec2::zeros());
+            bank.ingest_acc(
+                1,
+                t,
+                Vec2::new([
+                    gauss.sample_scaled(&mut rng, 0.0, 0.03),
+                    gauss.sample_scaled(&mut rng, 0.0, 0.03),
+                ]),
+            );
+        }
+        // retunes() stays the primary lane's log by contract.
+        assert!(bank.retunes().is_empty());
+        let total = bank.retune_count();
+        assert!(total > 0, "the noisy lane must retune");
+        assert_eq!(bank.measurement_sigma(), cfg.filter.measurement_sigma);
+        assert!(bank.filter().measurement_sigma(1) > cfg.filter.measurement_sigma);
+        let mut visited = Vec::new();
+        bank.for_each_retune_since(0, &mut |r| visited.push(*r));
+        assert_eq!(visited.len(), total);
+        // The merged log visits in firing order.
+        assert!(visited.windows(2).all(|w| w[0].at_sample <= w[1].at_sample));
     }
 }

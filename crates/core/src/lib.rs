@@ -12,9 +12,13 @@
 //! * [`model`] — the measurement model `z = S C_sb(e) f_b + b + v` and
 //!   its analytic Jacobian, in native `f64` and generically over any
 //!   [`arith::Arith`] number system;
-//! * [`filter`] — the extended Kalman filter (Joseph-form updates,
-//!   innovation gating) over misalignment plus ACC bias —
-//!   [`GenericBoresightFilter`] runs the identical algorithm over any
+//! * [`lanes`] — the extended Kalman filter (iterated, Joseph-form
+//!   updates, innovation gating) over misalignment plus ACC bias,
+//!   written once for `L` lockstep lanes as [`LaneIekf`]; [`LaneBank`]
+//!   fuses several sensors against one IMU with it and returns their
+//!   relative alignment (the paper's multi-sensor extension);
+//! * [`filter`] — the filter's configuration and update record, and
+//!   [`GenericBoresightFilter`], the lane filter at width 1 over any
 //!   arithmetic substrate, with [`BoresightFilter`] the bit-pinned
 //!   native-`f64` instantiation;
 //! * [`monitor`] — the paper's residual / 3-sigma tuning loop that
@@ -70,7 +74,7 @@
 //!   bit-identical portable fallback;
 //! * [`fleet`] — the fleet-scale session server: thousands of
 //!   concurrent vehicles packed into struct-of-arrays
-//!   [`lanes::LaneIekf`] shard arenas behind bounded ingress queues,
+//!   [`LaneIekf`] shard arenas behind bounded ingress queues,
 //!   advanced in deterministic epochs over the [`exec`] pool, with
 //!   mid-run admission, compacting eviction and per-vehicle bit
 //!   identity to standalone scalar sessions;
@@ -78,7 +82,8 @@
 //!   ([`report::VehicleSummary`]) the suite matrix and the fleet both
 //!   emit, plus the streaming RMS accumulator behind it;
 //! * [`smallmat`] — the substrate-generic dense kernels (products,
-//!   Gauss-Jordan inverse, Cholesky check) shared by both filters;
+//!   Gauss-Jordan inverse, Cholesky check) shared by the IEKF and the
+//!   3-state ablation filter;
 //! * [`system`] — the full Figure-2 system simulation: sensors, CAN,
 //!   bridge, UARTs, reconstruction, fusion, the Sabre soft core
 //!   publishing to its control block, and affine video correction —
@@ -158,7 +163,6 @@ pub mod json;
 pub mod lanes;
 pub mod model;
 pub mod monitor;
-pub mod multi;
 pub mod oracle;
 pub mod replay;
 pub mod report;
@@ -189,7 +193,6 @@ pub use fuzz::{generate_spec, shrink, CorpusEntry, ShrinkOutcome};
 pub use json::Json;
 pub use lanes::{LaneBank, LaneIekf, LaneState};
 pub use monitor::{MonitorConfig, ResidualMonitor, Retune};
-pub use multi::MultiBoresight;
 pub use oracle::{FusionOracle, OracleConfig, OracleReport, OracleVerdict};
 pub use replay::{
     record_spec, replay_spec_session, Recording, RecordingSink, ReplayRecord, ReplaySource,

@@ -12,7 +12,7 @@
 //! * [`FusionBackend`] — consumes events and maintains the estimate:
 //!   the production 5-state IEKF ([`BoresightEstimator`]), the 3-state
 //!   ablation filter over any [`Arith`] number system ([`ArithKf3`]),
-//!   or a whole [`crate::multi::MultiBoresight`] bank;
+//!   or a multi-sensor [`crate::lanes::LaneBank`];
 //! * [`EventSink`] — observes the stream: trace recorders, retune
 //!   logs, the Sabre publish block, video-correction hooks.
 //!
@@ -269,9 +269,8 @@ pub trait FusionBackend: Any + Send {
     /// when [`Self::retune_count`] grows — i.e. when a retune actually
     /// fired, never per event — so the steady-state event path stays
     /// allocation-free. The default reads straight off the
-    /// [`Self::retunes`] slice without allocating; multi-sensor
-    /// implementations may allocate small merge state per *retune*
-    /// (retunes are rare, hold-off-limited events).
+    /// [`Self::retunes`] slice; the multi-sensor
+    /// [`crate::lanes::LaneBank`] reads its merged cross-lane log.
     fn for_each_retune_since(&self, from: usize, visit: &mut dyn FnMut(&Retune)) {
         if let Some(fresh) = self.retunes().get(from..) {
             for retune in fresh {

@@ -5,7 +5,7 @@
 //! symmetrization — lives here once, generic over the number system,
 //! and is used by both the 3-state ablation filter
 //! ([`crate::arith::Kf3`]) and the production 5-state IEKF
-//! ([`crate::filter::GenericBoresightFilter`]).
+//! ([`crate::lanes::LaneIekf`]).
 //!
 //! The accumulation order of every kernel deliberately mirrors the
 //! `mathx` dense operators (accumulator starts at zero, innermost index
@@ -373,15 +373,27 @@ pub fn innovation_cov<A: Arith, const N: usize, const M: usize>(
 pub fn inverse2_sym<A: Arith>(a: &mut A, s: &[[A::T; 2]; 2]) -> Option<[[A::T; 2]; 2]> {
     let zero = a.num(0.0);
     let tiny = a.num(1e-300);
+    inverse2_sym_pivoted(a, s, |a, d| !(a.lt(d, tiny) || a.eq(d, zero)))
+}
+
+/// [`inverse2_sym`] with the pivot test supplied by the caller
+/// (`pivot_ok` returns `true` to go on). The lane IEKF tests every
+/// lane's pivot, masks the lanes that fail and stops only once none is
+/// left ([`crate::lanes::LaneIekf`]).
+pub(crate) fn inverse2_sym_pivoted<A: Arith>(
+    a: &mut A,
+    s: &[[A::T; 2]; 2],
+    mut pivot_ok: impl FnMut(&mut A, A::T) -> bool,
+) -> Option<[[A::T; 2]; 2]> {
     let one = a.num(1.0);
     let d1 = s[0][0];
-    if a.lt(d1, tiny) || a.eq(d1, zero) {
+    if !pivot_ok(a, d1) {
         return None;
     }
     let l = a.div(s[1][0], d1);
     let lt = a.mul(l, s[0][1]);
     let d2 = a.sub(s[1][1], lt);
-    if a.lt(d2, tiny) || a.eq(d2, zero) {
+    if !pivot_ok(a, d2) {
         return None;
     }
     // S^-1 = [[1/d1 + l^2/d2, -l/d2], [-l/d2, 1/d2]].

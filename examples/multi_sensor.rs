@@ -5,11 +5,14 @@
 //! sensor lands in the common body frame, the camera-to-lidar rotation
 //! falls out for free — the cross-calibration a fused "low-cost
 //! situational awareness" stack needs, without ever calibrating the
-//! sensors against each other.
+//! sensors against each other. Both sensors share one IMU front end
+//! and run as two lanes of one lockstep IEKF (`LaneBank`).
 //!
 //! Run with `cargo run --release --example multi_sensor`.
 
-use boresight::multi::MultiBoresight;
+use boresight::arith::F64Arith;
+use boresight::lanes::LaneBank;
+use boresight::session::FusionBackend;
 use boresight::EstimatorConfig;
 use mathx::{rng::seeded_rng, EulerAngles, GaussianSampler, Vec2, Vec3, STANDARD_GRAVITY};
 use sensors::DmuSample;
@@ -20,10 +23,8 @@ fn main() {
     println!("camera mounted at : {:+.3?} deg", camera_truth.to_degrees());
     println!("lidar mounted at  : {:+.3?} deg", lidar_truth.to_degrees());
 
-    let mut multi = MultiBoresight::new(vec![
-        ("camera".into(), EstimatorConfig::paper_static()),
-        ("lidar".into(), EstimatorConfig::paper_static()),
-    ]);
+    let names = ["camera", "lidar"];
+    let mut bank: LaneBank<F64Arith, 2> = LaneBank::new(EstimatorConfig::paper_static());
 
     let c_cam = camera_truth.dcm().transpose();
     let c_lid = lidar_truth.dcm().transpose();
@@ -39,7 +40,7 @@ fn main() {
             g,
         ]);
         if i % 2 == 0 {
-            multi.on_dmu(&DmuSample {
+            bank.ingest_dmu(&DmuSample {
                 seq: (i / 2) as u16,
                 time_s: t,
                 gyro: Vec3::zeros(),
@@ -52,13 +53,13 @@ fn main() {
                 f_s[0] + gauss.sample_scaled(&mut rng, 0.0, 0.007),
                 f_s[1] + gauss.sample_scaled(&mut rng, 0.0, 0.007),
             ]);
-            multi.on_acc(idx, t, z);
+            bank.ingest_acc(idx, t, z);
         }
     }
 
     println!();
-    for (i, name) in multi.names().to_vec().iter().enumerate() {
-        let est = multi.estimate(i);
+    for (i, name) in names.iter().enumerate() {
+        let est = bank.estimate_for(i);
         println!(
             "{name:>6}: estimate {:+.3?} deg, 3-sigma {:.3?} deg",
             est.angles.to_degrees(),
@@ -66,7 +67,7 @@ fn main() {
         );
     }
 
-    let rel = multi.relative_alignment(0, 1);
+    let rel = bank.relative_alignment(0, 1);
     let expected = (lidar_truth.dcm().transpose() * camera_truth.dcm()).euler();
     println!();
     println!(

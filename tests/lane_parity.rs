@@ -4,22 +4,26 @@
 //! one shared instruction stream with masked per-lane control flow.
 //! These tests pin the contract that makes that safe: every lane's
 //! state, covariance and accept/reject decisions are **bit-identical**
-//! to a scalar `GenericBoresightFilter<F64Arith>` fed the same lane's
-//! measurements — across random scenarios and seeds, including gate
-//! rejections and trust-region clamps — and a `LaneBank`-backed
-//! session matches the equivalent bank of scalar estimator sessions.
-//! The same contract is pinned for the explicit-SIMD `SimdF64`
-//! substrate under masked stepping (per-lane `dt`, per-lane activity),
-//! on whichever backend the `simd` feature selects.
+//! to the same filter at width 1 (`GenericBoresightFilter<F64Arith>`)
+//! fed the same lane's measurements — across random scenarios and
+//! seeds, including gate rejections and trust-region clamps — a
+//! `LaneBank`-backed session matches one scalar estimator per channel,
+//! and `L` identical lanes cost exactly `L` times one lane in counted
+//! ops, saturations and cycles. The same contract is pinned for the
+//! explicit-SIMD `SimdF64` substrate under masked stepping (per-lane
+//! `dt`, per-lane activity), on whichever backend the `simd` feature
+//! selects.
 
 use proptest::prelude::*;
-use sensor_fusion_fpga::fusion::arith::{F64Arith, LaneSpec};
+use sensor_fusion_fpga::fusion::arith::{Arith, F64Arith, LaneSpec, OpCounts, QArith, SoftArith};
 use sensor_fusion_fpga::fusion::filter::{FilterConfig, GenericBoresightFilter};
 use sensor_fusion_fpga::fusion::lanes::{LaneBank, LaneIekf};
-use sensor_fusion_fpga::fusion::session::{ChannelConfig, FusionSession, SyntheticSource};
+use sensor_fusion_fpga::fusion::session::{
+    ChannelConfig, FusionSession, SensorEvent, SensorSource, SyntheticSource,
+};
 use sensor_fusion_fpga::fusion::simd::{F64Lanes, SimdF64};
 use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
-use sensor_fusion_fpga::fusion::EstimatorConfig;
+use sensor_fusion_fpga::fusion::{BoresightEstimator, EstimatorConfig};
 use sensor_fusion_fpga::math::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
 
 const LANES: usize = 3;
@@ -143,8 +147,8 @@ fn lane_filter_matches_scalar_runs_long_deterministic() {
 }
 
 /// A `LaneBank`-backed session over a multi-channel synthetic source is
-/// bit-identical per sensor to separate scalar-estimator sessions fed
-/// the same channels (same source config, same seeds).
+/// bit-identical per sensor to separate scalar estimators fed the same
+/// channels (same source config, same seeds).
 #[test]
 fn lane_bank_session_matches_scalar_sessions() {
     let truths = [
@@ -179,21 +183,34 @@ fn lane_bank_session_matches_scalar_sessions() {
         .build();
     lane_session.run_to_end();
 
-    // The scalar twin: one estimator per channel, each seeing only its
-    // channel of the identical two-channel source.
-    use sensor_fusion_fpga::fusion::MultiBoresight;
-    let mut multi_session = FusionSession::builder()
-        .source(source())
-        .backend(MultiBoresight::new(vec![
-            ("a".into(), EstimatorConfig::paper_static()),
-            ("b".into(), EstimatorConfig::paper_static()),
-        ]))
-        .build();
-    multi_session.run_to_end();
+    // The scalar twin: one estimator per channel, each fed only its
+    // channel of the identical two-channel source (the shared DMU
+    // stream goes to both).
+    let mut twin_source = source();
+    let mut estimators = [(); 2].map(|_| BoresightEstimator::new(EstimatorConfig::paper_static()));
+    let mut events = Vec::new();
+    let mut t = 0.0;
+    while !twin_source.is_exhausted() {
+        t += twin_source.dt();
+        events.clear();
+        twin_source.poll(t, &mut events);
+        for event in &events {
+            match *event {
+                SensorEvent::Dmu(ref sample) => {
+                    for estimator in &mut estimators {
+                        estimator.on_dmu(sample);
+                    }
+                }
+                SensorEvent::Acc { sensor, time_s, z } => {
+                    estimators[sensor].on_acc(time_s, z);
+                }
+            }
+        }
+    }
 
-    for sensor in 0..2 {
+    for (sensor, estimator) in estimators.iter().enumerate() {
         let lane_est = lane_session.estimate_for(sensor);
-        let scalar_est = multi_session.estimate_for(sensor);
+        let scalar_est = estimator.estimate();
         assert_eq!(lane_est.updates, scalar_est.updates, "sensor {sensor}");
         assert_eq!(
             lane_est.angles.roll.to_bits(),
@@ -301,4 +318,94 @@ proptest! {
         }
         assert_lane_matches_scalar(&lanes, &scalars);
     }
+}
+
+/// Feeds `L` copies of one stream to a lane filter and returns its op
+/// ledger, its cycles, lane 0's accept decisions and lane 0's roll
+/// right after the clamp step.
+///
+/// The stream opens with a singular innovation (free fall, zero
+/// measurement noise: `S = 0`), then a measurement implying a 25 deg
+/// roll that the trust region clamps to 15 deg, then normal updates
+/// with one axis-0 gate outlier at step 150.
+fn identical_lanes_cost<A, const L: usize>() -> (OpCounts, u64, Vec<bool>, f64)
+where
+    A: LaneSpec<L> + Default + Clone,
+{
+    let mut cfg = FilterConfig::paper_static();
+    cfg.estimate_bias = false;
+    cfg.measurement_sigma = 0.0;
+    let mut lanes: LaneIekf<A, L> = LaneIekf::new(cfg);
+    let truth = EulerAngles::from_degrees(2.0, -1.5, 3.0);
+    let wild = EulerAngles::from_degrees(25.0, 0.0, 0.0);
+    let g = STANDARD_GRAVITY;
+    let mut accepted = Vec::new();
+    let mut clamped_roll = 0.0;
+    for i in 0..300 {
+        let t = i as f64 * 0.005;
+        let (f, z) = if i == 0 {
+            (Vec3::zeros(), Vec2::zeros())
+        } else {
+            let f = Vec3::new([2.0 * (0.5 * t).sin(), 1.5 * (0.33 * t).cos(), g]);
+            let mount = if i == 1 { wild } else { truth };
+            let f_s = mount.dcm().transpose().rotate(f);
+            let outlier = if i == 150 { 5.0 } else { 0.0 };
+            let z = Vec2::new([
+                f_s[0] + 0.003 * (7.1 * t).sin() + outlier,
+                f_s[1] - 0.003 * (5.3 * t).cos(),
+            ]);
+            (f, z)
+        };
+        lanes.predict(0.005);
+        let updates = lanes.update_lanes(&[z; L], &[f; L], t);
+        if i == 0 {
+            for lane in 0..L {
+                lanes.set_measurement_sigma(lane, 0.007);
+            }
+        }
+        if i == 1 {
+            clamped_roll = lanes.angles(0).roll;
+        }
+        accepted.push(updates[0].accepted);
+    }
+    (
+        lanes.arith().counts(),
+        lanes.arith().cycles(),
+        accepted,
+        clamped_roll,
+    )
+}
+
+fn assert_identical_lanes_cost_four_times_one<A>()
+where
+    A: LaneSpec<1> + LaneSpec<4> + Default + Clone,
+{
+    let (one, one_cycles, accepted, clamped_roll) = identical_lanes_cost::<A, 1>();
+    assert!(!accepted[0], "step 0 must be a singular innovation");
+    assert!(accepted[1], "the wild-roll step must be accepted");
+    let limit = FilterConfig::paper_static().angle_limit;
+    assert!(
+        (clamped_roll.abs() - limit).abs() < 1e-4,
+        "the wild-roll step must be clamped: roll {clamped_roll}"
+    );
+    assert!(!accepted[150], "step 150 must be gate-rejected");
+    let (four, four_cycles, _, _) = identical_lanes_cost::<A, 4>();
+    let mut expected = OpCounts::default();
+    for _ in 0..4 {
+        expected.accumulate(&one);
+    }
+    assert_eq!(four, expected, "4 identical lanes vs 4 x one lane");
+    assert_eq!(four_cycles, 4 * one_cycles);
+}
+
+/// `L` identical lanes cost exactly `L` times one lane — ops by class,
+/// saturation events and modelled cycles — on every counted substrate,
+/// through a gate rejection on axis 0, a trust-region clamp and a
+/// singular innovation: the lane filter charges only the work a width-1
+/// filter would do, per lane.
+#[test]
+fn identical_lanes_cost_exactly_l_times_one_lane() {
+    assert_identical_lanes_cost_four_times_one::<F64Arith>();
+    assert_identical_lanes_cost_four_times_one::<SoftArith>();
+    assert_identical_lanes_cost_four_times_one::<QArith<16>>();
 }
