@@ -19,7 +19,10 @@
 //! *structure-exploiting*: one straight-line model + Jacobian
 //! evaluation per linearization point over the Euler factors' known
 //! zeros and ones, `J P` and `S` over the Jacobian's ([`jp_and_s`]),
-//! the gate pass reused as IEKF iteration 0, an exactly symmetric `P`
+//! the gate pass reused as IEKF iteration 0, further relinearizations
+//! only while the last angle step can still move `h` by 1 % of the
+//! measurement sigma (see [`FilterConfig::iekf_iterations`]), an
+//! exactly symmetric `P`
 //! (so `P J^T` is a transposition of `J P`), a closed-form 2x2
 //! innovation solve and a rank-2 packed Joseph update — every saved
 //! multiply is a saved cycle in the Softfloat/fixed-point ledgers, and
@@ -66,11 +69,18 @@ pub struct FilterConfig {
     pub angle_limit: f64,
     /// Physical trust region for the ACC biases, m/s^2 (`0` disables).
     pub bias_limit: f64,
-    /// Iterated-EKF relinearization passes per measurement update
-    /// (1 = classic EKF). Iteration keeps the update consistent when
-    /// the state is still degrees away from the truth, which is what
-    /// stops weakly excited starts from banking linearization error
-    /// as information.
+    /// Cap on the iterated-EKF passes per measurement update (1 =
+    /// classic EKF). Iteration keeps the update consistent when the
+    /// state is still degrees away from the truth, which is what stops
+    /// weakly excited starts from banking linearization error as
+    /// information. A pass only runs while the previous one can still
+    /// move the estimate: `h` is linear in the biases and second order
+    /// in the angles, so after an angle step `d` relinearizing changes
+    /// `h` by about `g d^2 / 2`. A filter stops once its largest angle
+    /// step is under `sqrt(0.02 sigma / g)`, where that change is 1 % of
+    /// its current measurement sigma (so a retune moves the threshold
+    /// too). A converged filter takes one pass, a filter degrees off
+    /// usually two.
     pub iekf_iterations: usize,
 }
 

@@ -46,7 +46,7 @@ use crate::model::{self, State, StateCov, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
 use crate::smallmat;
-use mathx::{EulerAngles, Vec2, Vec3};
+use mathx::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
 use sensors::DmuSample;
 use std::any::Any;
 use std::ops::IndexMut;
@@ -57,8 +57,9 @@ use std::ops::IndexMut;
 ///
 /// The state is `[phi, theta, psi, bx, by]` (misalignment Euler angles
 /// plus the two ACC bias states). Prediction is a random walk; each
-/// measurement update relinearizes the two-axis ACC model
-/// [`FilterConfig::iekf_iterations`] times, solves the 2x2 innovation
+/// measurement update relinearizes the two-axis ACC model while the
+/// angle step can still move it (at most
+/// [`FilterConfig::iekf_iterations`] passes), solves the 2x2 innovation
 /// in closed form and updates the covariance in rank-2 Joseph form —
 /// see [`crate::filter`] for the structure the hot path exploits.
 /// Lanes that diverge in control flow (gate rejection, convergence,
@@ -478,10 +479,18 @@ where
     }
 
     /// The measurement update every entry point runs: the iterated EKF
-    /// relinearizes the measurement [`FilterConfig::iekf_iterations`]
-    /// times around the improving estimate (Gauss-Newton on the MAP
-    /// objective), then updates the covariance in Joseph form at the
-    /// final linearization point.
+    /// relinearizes the measurement around the improving estimate
+    /// (Gauss-Newton on the MAP objective), then updates the covariance
+    /// in Joseph form at the final linearization point.
+    ///
+    /// A lane takes another pass only while its last one moved the
+    /// angles by at least `sqrt(0.02 sigma / g)` for its own current
+    /// measurement sigma: below that, relinearizing could change `h`
+    /// (linear in the biases, second order in the angles) by under 1 %
+    /// of sigma. [`FilterConfig::iekf_iterations`] caps the passes, and
+    /// the last pass the cap allows computes no step. A converged lane
+    /// therefore stops after pass 0, which reuses the gate's model, and
+    /// evaluates no trig in the update phase.
     ///
     /// The hot path exploits the problem's structure: one straight-line
     /// model + Jacobian evaluation per linearization point
@@ -552,8 +561,10 @@ where
         // --- IEKF iterations with per-lane freeze masks ----------------
         let a = &mut self.arith;
         let iterations = self.config.iekf_iterations.max(1);
+        // The stop rule above, from each lane's current sigma.
+        let step_tol = a.from_lanes(self.sigmas.map(|s| (0.02 * s / STANDARD_GRAVITY).sqrt()));
         let inner = a.inner_mut();
-        let (eps, tiny, zero_s) = (inner.num(1e-12), inner.num(1e-300), inner.num(0.0));
+        let (tiny, zero_s) = (inner.num(1e-300), inner.num(0.0));
         let mut x_i = x_pred;
         // Iteration 0 relinearizes at x_i = x_pred — exactly where the
         // gate pass just evaluated the model — so its h, J, J P and S
@@ -605,8 +616,13 @@ where
             let resid = [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])];
             let kr = smallmat::mat_vec(a, &k, &resid);
             let x_next = smallmat::vec_add(a, &x_pred, &kr);
-            let dstep = smallmat::vec_sub(a, &x_next, &x_i);
-            let step = smallmat::vec_max_abs(a, &dstep);
+            // The angle step decides whether another pass is worth it;
+            // the last pass the cap allows needs no decision.
+            let step = (iter + 1 < iterations).then(|| {
+                let next = [x_next[0], x_next[1], x_next[2]];
+                let dstep = smallmat::vec_sub(a, &next, &[x_i[0], x_i[1], x_i[2]]);
+                smallmat::vec_max_abs(a, &dstep)
+            });
             for lane in 0..L {
                 // A lane newly marked singular this iteration was
                 // active when the solve ran but must not adopt its
@@ -625,8 +641,10 @@ where
                         jac_fin[row][col][lane] = jac[row][col][lane];
                     }
                 }
-                if a.inner_mut().lt(step[lane], eps) {
-                    frozen[lane] = true;
+                if let Some(step) = &step {
+                    if a.inner_mut().lt(step[lane], step_tol[lane]) {
+                        frozen[lane] = true;
+                    }
                 }
             }
         }
@@ -777,7 +795,10 @@ pub struct LaneState<A: Arith> {
 /// [`LaneBank::relative_alignment`] returns the rotation between any
 /// two sensors without any direct cross-sensor calibration. All lanes
 /// share one [`EstimatorConfig`]; each lane's residual monitor retunes
-/// its own measurement sigma.
+/// its own measurement sigma. The shared IMU front end runs through the
+/// lane filter's inner context, so, as for the scalar estimator, one op
+/// ledger holds the bank's whole arithmetic and the front end is its
+/// part outside [`PhaseLedger::tracked_ops`].
 ///
 /// Channels must arrive in lockstep: every sensor index `0..L` posts a
 /// measurement with the same timestamp before the next time step (the
@@ -789,7 +810,6 @@ pub struct LaneBank<A: LaneSpec<L>, const L: usize> {
     filter: LaneIekf<A, L>,
     monitors: Option<Vec<ResidualMonitor>>,
     prep: ImuPrep<A>,
-    front: A,
     pending: [Option<Vec2>; L],
     pending_time: f64,
     pending_count: usize,
@@ -801,18 +821,17 @@ impl<A: LaneSpec<L> + Default, const L: usize> LaneBank<A, L> {
     /// Creates the bank over the substrate's default context; every
     /// lane shares the estimator configuration.
     pub fn new(config: EstimatorConfig) -> Self {
-        let mut front = A::default();
-        let prep = ImuPrep::new(&mut front);
+        let mut filter = LaneIekf::<A, L>::new(config.filter);
+        let prep = ImuPrep::new(filter.arith_mut().inner_mut());
         Self {
             config,
-            filter: LaneIekf::new(config.filter),
+            filter,
             monitors: config.monitor.map(|m| {
                 (0..L)
                     .map(|_| ResidualMonitor::new(m, config.filter.measurement_sigma))
                     .collect()
             }),
             prep,
-            front,
             pending: [None; L],
             pending_time: 0.0,
             pending_count: 0,
@@ -842,7 +861,8 @@ impl<A: LaneSpec<L> + Default, const L: usize> LaneBank<A, L> {
 
 impl<A: LaneSpec<L> + Clone + 'static, const L: usize> FusionBackend for LaneBank<A, L> {
     fn ingest_dmu(&mut self, sample: &DmuSample) {
-        self.prep.on_dmu(&mut self.front, sample);
+        self.prep
+            .on_dmu(self.filter.arith_mut().inner_mut(), sample);
     }
 
     fn ingest_acc(&mut self, sensor: usize, time_s: f64, z: Vec2) -> Option<KalmanUpdate> {
@@ -865,9 +885,9 @@ impl<A: LaneSpec<L> + Clone + 'static, const L: usize> FusionBackend for LaneBan
             std::array::from_fn(|i| self.pending[i].take().expect("full batch"));
         self.pending_count = 0;
         let lever_arm = self.config.lever_arm;
-        let f_b = self
-            .prep
-            .compensated_force(&mut self.front, time_s, lever_arm)?;
+        let f_b =
+            self.prep
+                .compensated_force(self.filter.arith_mut().inner_mut(), time_s, lever_arm)?;
         let dt = (time_s - self.last_update_time).max(0.0);
         self.last_update_time = time_s;
         self.filter.predict(dt);
@@ -1090,6 +1110,116 @@ mod tests {
                 } else {
                     assert!(ups[lane].is_none(), "step {i} lane {lane}");
                 }
+            }
+        }
+        assert_lanes_match(&lanes, &scalars);
+    }
+
+    /// The tilt-table force schedule of these tests at time `t`.
+    fn tilt_force(t: f64) -> Vec3 {
+        Vec3::new([
+            2.0 * (0.5 * t).sin(),
+            1.5 * (0.33 * t).cos(),
+            STANDARD_GRAVITY,
+        ])
+    }
+
+    /// The two-axis reading of `f` by a sensor mounted at `mount`, with
+    /// a small deterministic noise.
+    fn mounted_reading(mount: EulerAngles, f: Vec3, t: f64) -> Vec2 {
+        let f_s = mount.dcm().transpose().rotate(f);
+        Vec2::new([
+            f_s[0] + 0.003 * (7.1 * t).sin(),
+            f_s[1] - 0.003 * (5.3 * t).cos(),
+        ])
+    }
+
+    /// The trig evaluations each of `steps` accepted updates charges to
+    /// the update phase of a fresh width-1 filter whose sensor is
+    /// mounted at `mount`.
+    fn update_trig_per_step(cfg: FilterConfig, mount: EulerAngles, steps: usize) -> Vec<u64> {
+        let mut kf: GenericBoresightFilter<F64Arith> = GenericBoresightFilter::new(cfg);
+        (0..steps)
+            .map(|i| {
+                let t = i as f64 * 0.005;
+                let f = tilt_force(t);
+                let before = kf.phase_ledger().update.ops.trig;
+                kf.predict(0.005);
+                assert!(kf.update(mounted_reading(mount, f, t), f, t).accepted);
+                kf.phase_ledger().update.ops.trig - before
+            })
+            .collect()
+    }
+
+    /// Once a lane has converged its first pass moves the angles by far
+    /// less than the step tolerance, so it never relinearizes: the
+    /// update phase reuses the gate's model and evaluates no trig.
+    #[test]
+    fn converged_lane_charges_no_update_trig() {
+        let mount = EulerAngles::from_degrees(2.0, -1.5, 3.0);
+        let trig = update_trig_per_step(FilterConfig::paper_static(), mount, 400);
+        assert!(trig[300..].iter().all(|&n| n == 0), "{:?}", &trig[300..]);
+    }
+
+    /// A lane started 3 deg from the truth steps far past the tolerance
+    /// on its first pass, so it relinearizes (3 `sin_cos`): with a cap
+    /// of 2 passes that is every pass the cap allows. The relinearized
+    /// pass only corrects the first step to second order, which is
+    /// already under the tolerance, so at the paper's cap of 3 the lane
+    /// stops there as well.
+    #[test]
+    fn lane_started_three_degrees_off_relinearizes() {
+        let mount = EulerAngles::from_degrees(3.0, -3.0, 3.0);
+        let mut cfg = FilterConfig::paper_static();
+        cfg.iekf_iterations = 2;
+        let to_the_cap = 3 * (cfg.iekf_iterations as u64 - 1);
+        assert_eq!(update_trig_per_step(cfg, mount, 1), [to_the_cap]);
+        cfg.iekf_iterations = 3;
+        assert_eq!(update_trig_per_step(cfg, mount, 1), [3], "cap 3");
+    }
+
+    /// Lanes that stop iterating at different passes — two mounted at
+    /// the filter's zero start, two 3 deg off — stay bit-identical to
+    /// width-1 filters fed the same readings, whether the far lanes
+    /// reach the cap (2 passes) or stop short of it (3).
+    #[test]
+    fn lanes_stopping_at_different_passes_match_scalar_filters() {
+        for passes in [2, 3] {
+            let mut cfg = FilterConfig::paper_static();
+            cfg.iekf_iterations = passes;
+            assert_mixed_lanes_match_scalars(cfg);
+        }
+    }
+
+    fn assert_mixed_lanes_match_scalars(cfg: FilterConfig) {
+        let mounts = [
+            EulerAngles::zero(),
+            EulerAngles::from_degrees(3.0, -3.0, 3.0),
+            EulerAngles::zero(),
+            EulerAngles::from_degrees(-3.0, 2.0, -3.0),
+        ];
+        let mut lanes: LaneIekf<F64Arith, 4> = LaneIekf::new(cfg);
+        let mut scalars = scalar_filters::<4>(cfg);
+        for i in 0..300 {
+            let t = i as f64 * 0.005;
+            let f = tilt_force(t);
+            let z: [Vec2; 4] = std::array::from_fn(|lane| mounted_reading(mounts[lane], f, t));
+            lanes.predict(0.005);
+            let lane_updates = lanes.update_lanes(&z, &[f; 4], t);
+            for (lane, kf) in scalars.iter_mut().enumerate() {
+                kf.predict(0.005);
+                let upd = kf.update(z[lane], f, t);
+                assert_eq!(
+                    upd.accepted, lane_updates[lane].accepted,
+                    "step {i} lane {lane}"
+                );
+            }
+            if i == 0 {
+                // The first update split the group: the aligned lanes
+                // stopped after the gate pass, the far ones
+                // relinearized once.
+                let trig = scalars.iter().map(|kf| kf.phase_ledger().update.ops.trig);
+                assert_eq!(trig.collect::<Vec<_>>(), [0, 3, 0, 3]);
             }
         }
         assert_lanes_match(&lanes, &scalars);

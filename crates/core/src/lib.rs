@@ -85,9 +85,10 @@
 //!   Gauss-Jordan inverse, Cholesky check) shared by the IEKF and the
 //!   3-state ablation filter;
 //! * [`system`] — the full Figure-2 system simulation: sensors, CAN,
-//!   bridge, UARTs, reconstruction, fusion, the Sabre soft core
-//!   publishing to its control block, and affine video correction —
-//!   a session over the [`session::CommsChainSource`] front end.
+//!   bridge, UARTs, reconstruction, fusion (the IEKF on Softfloat,
+//!   priced in Sabre cycles), the Sabre soft core publishing to its
+//!   control block, and affine video correction — a session over the
+//!   [`session::CommsChainSource`] front end.
 //!
 //! # Quickstart
 //!

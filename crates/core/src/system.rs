@@ -13,24 +13,21 @@
 //!  control block (Q16.16 angles) --> affine video correction --> PSNR
 //! ```
 //!
-//! The Kalman software budget is priced by shadowing the fusion stream
-//! with the 3-state small-angle `Kf3` over Softfloat for the first
-//! updates and charging its per-op Sabre cycle costs. That is the
-//! ablation filter, not the deployed 5-state IEKF (see
-//! [`SystemReport::kalman_cycles_per_update`]).
+//! The session's own 5-state IEKF runs on Softfloat (bit-identical to
+//! native `f64`), so the Kalman software budget is its exact Sabre
+//! cycle ledger — the IMU front end included — per second of stream
+//! (see [`SystemReport::kalman_cpu_utilization`]).
 
-use crate::arith::{Kf3, SoftArith};
-use crate::estimator::MisalignmentEstimate;
+use crate::arith::{Arith, SoftArith};
+use crate::estimator::{GenericBoresightEstimator, MisalignmentEstimate};
 use crate::scenario::ScenarioConfig;
-use crate::session::{
-    CommsChainSource, EventSink, FusionSession, IntoSharedTrajectory, SensorEvent,
-};
+use crate::session::{CommsChainSource, EventSink, FusionSession, IntoSharedTrajectory};
 use crate::spec::{EnvironmentSpec, ScenarioSpec, TuningSpec};
 use comms::StreamStats;
 use fpga::fixed::Q16_16;
 use fpga::pipeline::FrameTiming;
 use fpga::sabre::{assemble, ControlBlock, ControlReg, Sabre, StopReason, CONTROL_BASE};
-use mathx::{rad_to_deg, EulerAngles, Vec3};
+use mathx::{rad_to_deg, EulerAngles};
 use std::sync::{Arc, Mutex};
 use video::{
     affine::{transform, MappingKind},
@@ -85,9 +82,6 @@ pub struct SystemConfig {
     pub sabre_clock_hz: f64,
     /// How often the fusion result is published to the control block.
     pub publish_interval_s: f64,
-    /// How many filter updates to shadow with the Softfloat filter for
-    /// cycle accounting.
-    pub shadow_updates: u64,
 }
 
 impl SystemConfig {
@@ -114,7 +108,6 @@ impl SystemConfig {
             focal_px: 300.0,
             sabre_clock_hz: 25e6,
             publish_interval_s: 0.2,
-            shadow_updates: 1000,
         }
     }
 }
@@ -141,18 +134,15 @@ pub struct SystemReport {
     pub sabre_cycles: u64,
     /// Sabre instructions retired on publishes.
     pub sabre_instructions: u64,
-    /// Softfloat cycles per update of the 3-state small-angle `Kf3`
-    /// that [`ShadowKf3Sink`] runs beside the fusion stream. This
-    /// prices the ablation filter, not the deployed 5-state IEKF,
-    /// which costs several times more per sample (`ablation_arith`
-    /// prices it).
+    /// Softfloat cycles the deployed 5-state IEKF spent per ACC sample
+    /// it was offered (accepted or gate-rejected), its IMU front end
+    /// included.
     pub kalman_cycles_per_update: f64,
-    /// Softfloat float ops per update of the same 3-state shadow
-    /// filter.
+    /// Softfloat float ops per ACC sample of the same filter.
     pub kalman_ops_per_update: f64,
-    /// Fraction of the Sabre clock the 3-state shadow filter needs at
-    /// the ACC rate (< 1.0 means it runs in real time). The deployed
-    /// 5-state IEKF does not fit the 25 MHz budget yet.
+    /// Fraction of the Sabre clock the deployed filter needs: its
+    /// cycles per second of stream over the clock (< 1.0 means it runs
+    /// in real time).
     pub kalman_cpu_utilization: f64,
     /// Angles read back from the control block (Q16.16-quantized).
     pub control_angles_deg: [f64; 3],
@@ -262,77 +252,20 @@ impl EventSink for SabrePublishSink {
     }
 }
 
-/// Shadows the fusion stream with the 3-state small-angle `Kf3` over
-/// Softfloat for the first N updates, accumulating its per-op Sabre
-/// cycle costs. It prices that ablation filter, not the deployed
-/// 5-state IEKF.
-pub struct ShadowKf3Sink {
-    shadow: Kf3<SoftArith>,
-    last_f_b: Option<Vec3>,
-    max_updates: u64,
-}
-
-impl ShadowKf3Sink {
-    /// Builds the shadow filter from the scenario's filter tuning.
-    pub fn new(sc: &ScenarioConfig, max_updates: u64) -> Self {
-        Self {
-            shadow: Kf3::new(
-                SoftArith::default(),
-                sc.estimator.filter.initial_angle_sigma,
-                sc.estimator.filter.measurement_sigma,
-            ),
-            last_f_b: None,
-            max_updates,
-        }
-    }
-
-    /// The shadowed filter (inspect its Softfloat stats).
-    pub fn kf(&self) -> &Kf3<SoftArith> {
-        &self.shadow
-    }
-
-    /// Cycle and op cost per shadowed update.
-    pub fn cost_per_update(&self) -> (f64, f64) {
-        let stats = self.shadow.arith().fpu.stats();
-        let updates = self.shadow.update_count().max(1);
-        (
-            stats.cycles as f64 / updates as f64,
-            stats.total_ops() as f64 / updates as f64,
-        )
-    }
-}
-
-impl EventSink for ShadowKf3Sink {
-    fn on_event(&mut self, event: &SensorEvent) {
-        match *event {
-            SensorEvent::Dmu(s) => self.last_f_b = Some(s.accel),
-            SensorEvent::Acc { z, .. } => {
-                if self.shadow.update_count() < self.max_updates {
-                    if let Some(f) = self.last_f_b {
-                        self.shadow.step(z, f, 1e-10);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Runs the full system against a trajectory.
 ///
 /// Compat shim over the session layer: the event loop lives in
 /// [`FusionSession`]; this wrapper wires the [`CommsChainSource`]
-/// front end, the production estimator, the Sabre publish and shadow
-/// sinks together, then performs the end-of-run video-correction
-/// experiment and assembles the [`SystemReport`].
+/// front end, the production estimator on Softfloat and the Sabre
+/// publish sink together, then performs the end-of-run
+/// video-correction experiment and assembles the [`SystemReport`].
 pub fn run_system(trajectory: impl IntoSharedTrajectory, config: &SystemConfig) -> SystemReport {
     let sc = &config.scenario;
     let sabre = Arc::new(Mutex::new(SabrePublishSink::new(config.publish_interval_s)));
-    let shadow = Arc::new(Mutex::new(ShadowKf3Sink::new(sc, config.shadow_updates)));
     let mut session = FusionSession::builder()
         .source(CommsChainSource::from_scenario(trajectory, sc))
-        .estimator(sc.estimator)
+        .iekf(SoftArith::default(), sc.estimator)
         .truth(sc.true_misalignment)
-        .sink(Arc::clone(&shadow))
         .sink(Arc::clone(&sabre))
         .build();
     session.run_to_end();
@@ -354,10 +287,14 @@ pub fn run_system(trajectory: impl IntoSharedTrajectory, config: &SystemConfig) 
     let psnr_cor = psnr(&crop(&reference), &crop(&corrected));
     let (_, fwd_stats) = transform(&seen, &correction, MappingKind::FixedForward);
 
-    // Kalman software budget.
-    let (cycles_per_update, ops_per_update) =
-        shadow.lock().expect("shadow sink lock").cost_per_update();
-    let utilization = cycles_per_update * sc.acc_rate_hz / config.sabre_clock_hz;
+    // Kalman software budget: the deployed filter's own ledger.
+    let filter = session
+        .backend_as::<GenericBoresightEstimator<SoftArith>>()
+        .expect("softfloat IEKF backend")
+        .filter();
+    let samples = (filter.update_count() + filter.rejected_count()).max(1) as f64;
+    let (cycles, ops) = (filter.arith().cycles(), filter.arith().counts().total());
+    let utilization = cycles as f64 / session.time_s() / config.sabre_clock_hz;
 
     let error = estimate.angles.error_to(&sc.true_misalignment);
     let timing = FrameTiming {
@@ -378,8 +315,8 @@ pub fn run_system(trajectory: impl IntoSharedTrajectory, config: &SystemConfig) 
         stream,
         sabre_cycles: sabre.cycles(),
         sabre_instructions: sabre.instructions(),
-        kalman_cycles_per_update: cycles_per_update,
-        kalman_ops_per_update: ops_per_update,
+        kalman_cycles_per_update: cycles as f64 / samples,
+        kalman_ops_per_update: ops as f64 / samples,
         kalman_cpu_utilization: utilization,
         control_angles_deg: control_angles.to_degrees(),
         psnr_misaligned_db: psnr_mis,
@@ -392,11 +329,11 @@ pub fn run_system(trajectory: impl IntoSharedTrajectory, config: &SystemConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mathx::Vec3;
 
     fn quick_config() -> SystemConfig {
         let mut cfg = SystemConfig::demo(EulerAngles::from_degrees(2.0, -1.5, 2.5));
         cfg.scenario.duration_s = 40.0;
-        cfg.shadow_updates = 300;
         cfg
     }
 

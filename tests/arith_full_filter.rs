@@ -12,6 +12,29 @@
 //! final angles moved by less than 1e-12 rad, and the kernel-level
 //! proptests below pin the optimized kernels to the still-compiled
 //! dense reference kernels within the documented ulp bounds.
+//!
+//! The three trace pins were **re-pinned a second time** when the IEKF
+//! stopped relinearizing once the angle step falls under
+//! `sqrt(0.02 sigma / g)` (the step at which a further pass could move
+//! `h` by 1 % of the measurement sigma) instead of under `1e-12`, and
+//! stopped computing the step on the last pass the cap allows. That
+//! drops most second and third passes, so the estimates move by more
+//! than a reordered rounding. Counters, old -> new:
+//!
+//! | pin | updates | rejected | retunes |
+//! |---|---|---|---|
+//! | static scenario | 10 000 -> 10 000 | 0 -> 0 | 1 -> 1 |
+//! | dynamic scenario | 10 000 -> 10 000 | 0 -> 0 | 1 -> 1 |
+//! | filter-only trace | 1 096 -> 1 097 | 904 -> 903 | n/a |
+//!
+//! Final angle deltas (new - old, rad; roll, pitch, yaw): static
+//! (-3.4e-7, +5.7e-7, +4e-10), dynamic (-1.6e-5, +4.7e-6, +4.4e-7),
+//! filter-only trace (+2.8e-4, -1.5e-4, +1.8e-4). The filter-only
+//! trace holds a bias state against its 0.3 m/s^2 trust-region clamp
+//! and gates almost half of its samples, so its angles are the least
+//! determined of the three; the scenario runs, which converge, moved by
+//! at most 1.6e-5 rad (0.001 deg). No other test or bound changed
+//! with the rule.
 
 use proptest::prelude::*;
 use sensor_fusion_fpga::fusion::arith::{
@@ -74,10 +97,10 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
     assert_run_matches(
         &result,
         &PinnedRun {
-            roll: 0x3fa1e28a9ae98fde,
-            pitch: 0xbfaadc26fb4856e4,
-            yaw: 0x3f9ab0ee5ce27bd9,
-            sigma: [0x3f2c9b5563348193, 0x3f2d8ff8bc123b2a, 0x3ef92227b7cd7d4d],
+            roll: 0x3fa1e27f09d74f55,
+            pitch: 0xbfaadc13f4629a73,
+            yaw: 0x3f9ab0ee647e9fb1,
+            sigma: [0x3f2c9b53ef8c0476, 0x3f2d8fda216c9620, 0x3ef9222bfcd99328],
             updates: 10_000,
             exceed_rate: 0x3f5bda5119ce075f,
             final_sigma: 0x3f82a305532617c2,
@@ -85,10 +108,10 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
             residuals: 1_000,
             mid_residual: [
                 0x4039000000000000,
-                0xbf6faaa41e2e1f80,
-                0x3f95835a7bc4d0d0,
-                0xbf829b0b517c1100,
-                0x3f9581bdaa7e56ef,
+                0xbf6faad73e65ee80,
+                0x3f95835a7f0171b7,
+                0xbf829b03ad5b3300,
+                0x3f9581bdaa288bae,
             ],
         },
     );
@@ -106,10 +129,10 @@ fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
     assert_run_matches(
         &result,
         &PinnedRun {
-            roll: 0x3fad79581fed2215,
-            pitch: 0xbfa27d24a0084aab,
-            yaw: 0x3fa6222c03ca3aff,
-            sigma: [0x3f5cef55db1cd4b5, 0x3f5dd7215b625de4, 0x3f223e8787271e43],
+            roll: 0x3fad7738650d2cc1,
+            pitch: 0xbfa27c8595714cb4,
+            yaw: 0x3fa6223ad70a979a,
+            sigma: [0x3f5cefa618ee96b7, 0x3f5dd75c4d63acd7, 0x3f223e5d2efe1114],
             updates: 10_000,
             exceed_rate: 0x3f40624dd2f1a9fc,
             final_sigma: 0x3f93f7ced916872b,
@@ -117,17 +140,17 @@ fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
             residuals: 1_000,
             mid_residual: [
                 0x4039000000000000,
-                0x3f7bfc2056659000,
-                0x3fadf51fc5006f41,
-                0xbf9432e4e42612c0,
-                0x3fadf7e697bfaf2e,
+                0x3f7bfc6000210c00,
+                0x3fadf51fb778fbda,
+                0xbf9432567ec1f320,
+                0x3fadf7e688311a22,
             ],
         },
     );
 }
 
 /// A deterministic filter-only trace (no estimator front end, no RNG):
-/// closed-form measurement schedule that exercises gating (904
+/// closed-form measurement schedule that exercises gating (903
 /// rejections) and the bias trust-region clamp (x[3] pinned at the
 /// 0.3 m/s^2 limit).
 #[test]
@@ -146,30 +169,30 @@ fn filter_trace_is_bit_identical_to_pre_refactor() {
         kf.update(z, f_b, t);
     }
     let expected_x: [u64; 5] = [
-        0x3fa0380044b46e0b,
-        0x3faacde0694fb313,
-        0xbf96854458682fd3,
+        0x3fa05c5bc9724865,
+        0x3faaba253c368178,
+        0xbf9656aa29c3f5b1,
         0x3fd3333333333333,
-        0xbfce08458e594250,
+        0xbfce55518ce219d6,
     ];
     let state = kf.state();
     for (i, bits) in expected_x.iter().enumerate() {
         assert_eq!(state[i].to_bits(), *bits, "x[{i}]");
     }
     let expected_p_diag: [u64; 5] = [
-        0x3ef5b1f0824e1094,
-        0x3ef1369ef52f70f1,
-        0x3e74bd182a67a58f,
-        0x3f5a1a7cab66c404,
-        0x3f604c307436d4bf,
+        0x3ef5b2932dbb8a08,
+        0x3ef13d9133e437d7,
+        0x3e74acfc3ace0e52,
+        0x3f5a24cc123f82e0,
+        0x3f604cc51c774185,
     ];
     let p = kf.covariance();
     for (i, bits) in expected_p_diag.iter().enumerate() {
         assert_eq!(p[(i, i)].to_bits(), *bits, "p[{i}][{i}]");
     }
-    assert_eq!(p[(0, 4)].to_bits(), 0xbf2a974f86619221, "p[0][4]");
-    assert_eq!(kf.update_count(), 1_096);
-    assert_eq!(kf.rejected_count(), 904);
+    assert_eq!(p[(0, 4)].to_bits(), 0xbf2a982caec4916b, "p[0][4]");
+    assert_eq!(kf.update_count(), 1_097);
+    assert_eq!(kf.rejected_count(), 903);
     assert!(kf.covariance_healthy());
 }
 

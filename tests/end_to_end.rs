@@ -90,7 +90,6 @@ fn full_system_simulation_closes_the_loop() {
     let mut config = SystemConfig::demo(truth);
     config.scenario.duration_s = 40.0;
     config.scenario.seed = 9004;
-    config.shadow_updates = 200;
     let profile = urban_drive(config.scenario.duration_s);
     let report = run_system(&profile, &config);
 

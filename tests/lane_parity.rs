@@ -146,15 +146,12 @@ fn lane_filter_matches_scalar_runs_long_deterministic() {
     assert_lane_matches_scalar(&lanes, &scalars);
 }
 
-/// A `LaneBank`-backed session over a multi-channel synthetic source is
-/// bit-identical per sensor to separate scalar estimators fed the same
-/// channels (same source config, same seeds).
-#[test]
-fn lane_bank_session_matches_scalar_sessions() {
-    let truths = [
-        EulerAngles::from_degrees(2.0, -1.0, 1.5),
-        EulerAngles::from_degrees(-3.0, 2.0, -1.0),
-    ];
+/// Runs one two-channel synthetic stream (a shared DMU, one ACC per
+/// sensor, each misaligned by its own truth) through a
+/// `LaneBank<F64Arith, 2>` session and through its scalar twin: one
+/// estimator per channel, each fed only its channel of the identical
+/// source (the shared DMU stream goes to both).
+fn lane_bank_and_scalar_twin(truths: [EulerAngles; 2]) -> (FusionSession, [BoresightEstimator; 2]) {
     let spec = ScenarioSpec::named("lane-bank")
         .with_truth(truths[0])
         .with_duration(60.0);
@@ -183,9 +180,6 @@ fn lane_bank_session_matches_scalar_sessions() {
         .build();
     lane_session.run_to_end();
 
-    // The scalar twin: one estimator per channel, each fed only its
-    // channel of the identical two-channel source (the shared DMU
-    // stream goes to both).
     let mut twin_source = source();
     let mut estimators = [(); 2].map(|_| BoresightEstimator::new(EstimatorConfig::paper_static()));
     let mut events = Vec::new();
@@ -207,6 +201,19 @@ fn lane_bank_session_matches_scalar_sessions() {
             }
         }
     }
+    (lane_session, estimators)
+}
+
+/// A `LaneBank`-backed session over a multi-channel synthetic source is
+/// bit-identical per sensor to separate scalar estimators fed the same
+/// channels (same source config, same seeds).
+#[test]
+fn lane_bank_session_matches_scalar_sessions() {
+    let truths = [
+        EulerAngles::from_degrees(2.0, -1.0, 1.5),
+        EulerAngles::from_degrees(-3.0, 2.0, -1.0),
+    ];
+    let (lane_session, estimators) = lane_bank_and_scalar_twin(truths);
 
     for (sensor, estimator) in estimators.iter().enumerate() {
         let lane_est = lane_session.estimate_for(sensor);
@@ -244,6 +251,29 @@ fn lane_bank_session_matches_scalar_sessions() {
             err.to_degrees()
         );
     }
+}
+
+/// A `LaneBank` charges its shared IMU front end to its lane filter's
+/// ledger, as a scalar estimator does: on the same stream, the bank's
+/// untracked ops (ledger total minus the filter's phase-tracked ops)
+/// equal one scalar estimator's, since the bank preps each DMU sample
+/// and each time step's specific force once for all its lanes.
+#[test]
+fn lane_bank_front_end_reaches_the_filter_ledger() {
+    let truths = [
+        EulerAngles::from_degrees(2.0, -1.0, 1.5),
+        EulerAngles::from_degrees(-3.0, 2.0, -1.0),
+    ];
+    let (lane_session, estimators) = lane_bank_and_scalar_twin(truths);
+    let bank = lane_session
+        .backend_as::<LaneBank<F64Arith, 2>>()
+        .expect("lane bank backend")
+        .filter();
+    let bank_untracked = bank.arith().counts().total() - bank.phase_ledger().tracked_ops();
+    let scalar = estimators[0].filter();
+    let scalar_untracked = scalar.arith().counts().total() - scalar.phase_ledger().tracked_ops();
+    assert!(scalar_untracked > 0, "the scalar front end charged nothing");
+    assert_eq!(bank_untracked, scalar_untracked);
 }
 
 proptest! {
