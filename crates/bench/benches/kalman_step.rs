@@ -1,9 +1,9 @@
 //! Filter-core benchmarks: one predict+update of the production
 //! 5-state IEKF through the scalar API (the width-1 lane filter, with
 //! its `f64` force conversion and counted substrate; the lockstep rows
-//! live in `smallmat_kernels`) and of the 3-state ablation filters.
+//! live in `smallmat_kernels`).
 
-use boresight::arith::{F64Arith, Kf3, QArith};
+use boresight::arith::QArith;
 use boresight::filter::{BoresightFilter, FilterConfig, GenericBoresightFilter};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mathx::{Vec2, Vec3, STANDARD_GRAVITY};
@@ -30,20 +30,6 @@ fn bench_kalman(c: &mut Criterion) {
             kf.predict(0.005);
             t += 0.005;
             black_box(kf.update(black_box(z), black_box(f_b), t))
-        })
-    });
-    c.bench_function("kalman/kf3_f64_step", |bench| {
-        let mut kf = Kf3::new(F64Arith::default(), 0.1, 0.007);
-        bench.iter(|| {
-            kf.step(black_box(z), black_box(f_b), 1e-10);
-            black_box(kf.update_count())
-        })
-    });
-    c.bench_function("kalman/kf3_fixed_step", |bench| {
-        let mut kf = Kf3::new(QArith::<16>::default(), 0.1, 0.007);
-        bench.iter(|| {
-            kf.step(black_box(z), black_box(f_b), 1e-10);
-            black_box(kf.update_count())
         })
     });
 }

@@ -1,58 +1,33 @@
-//! Ablation **A1**: the fusion filters in native f64, Softfloat-emulated
-//! f64 (the paper's configuration on the Sabre core) and Q16.16 fixed
-//! point (the paper's proposed "obvious enhancement").
-//!
-//! Two tiers:
-//!
-//! * the historical 3-state small-angle ablation ([`boresight::arith::Kf3`]) — filter
-//!   error isolates the arithmetic substrate because the model is
-//!   exactly linear;
-//! * the **full 5-state boresight IEKF** over the paper's static test
-//!   scenario, made possible by the generic-arithmetic core — the real
-//!   algorithm, per-substrate op counts, Sabre cycles and
-//!   boresight-error RMS, written to `bench_out/BENCH_arith_full_filter.json`.
-//!   Beyond the run-time [`Substrate`] trio this tier also measures the
-//!   frontier's cheap substrates — native `f32` and the `Q8.24`/`Q4.28`
-//!   fixed-point points bracketing `Q16.16` — through the direct
-//!   session-builder path.
+//! Ablation **A1**: the full 5-state boresight IEKF in native f64,
+//! Softfloat-emulated f64 (the paper's configuration on the Sabre
+//! core) and Q16.16 fixed point (the paper's proposed "obvious
+//! enhancement"), over the paper's static test scenario: per-substrate
+//! op counts, Sabre cycles, per-phase attribution and boresight-error
+//! RMS, written to `bench_out/BENCH_arith_full_filter.json`. Beyond the
+//! run-time [`Substrate`] trio it also measures the frontier's cheap
+//! substrates — native `f32` and the `Q8.24`/`Q4.28` fixed-point points
+//! bracketing `Q16.16` — through the direct session-builder path.
 //!
 //! Run with `cargo run --release -p bench_suite --bin ablation_arith
 //! [updates] [--workers N]`. The optional update count defaults to
-//! 20000 at 200 Hz (a 100 s scenario); the full-IEKF tier fans the
-//! enum substrates out over the worker pool (`--workers 1` forces the
-//! old serial sweep, 0 = one per core) and then runs the
-//! builder-path substrates serially.
+//! 20000 at 200 Hz (a 100 s scenario); the enum substrates fan out over
+//! the worker pool (`--workers 1` forces a serial sweep, 0 = one per
+//! core) and then the builder-path substrates run serially.
 
 use bench_suite::{
     compare_labeled_to_baseline, load_baseline, print_baseline_deltas, print_table, write_json,
-    BenchArgs, Json, SmallAngleSource,
+    BenchArgs, Json,
 };
 use boresight::arith::{Arith, F32Arith, F64Arith, OpCounts, PhaseLedger, QArith, SoftArith};
 use boresight::estimator::GenericBoresightEstimator;
 use boresight::exec;
 use boresight::scenario::RunResult;
 use boresight::spec::{ScenarioSpec, Substrate};
-use boresight::{ArithKf3, FusionSession};
-use fpga::softfloat::CycleCosts;
+use boresight::FusionSession;
 use mathx::{rad_to_deg, EulerAngles};
 
 const ACC_RATE_HZ: f64 = 200.0;
 const SABRE_CLOCK_HZ: f64 = 25e6;
-
-/// Runs the 3-state filter over the standard excitation through a
-/// [`FusionSession`] and returns the finished session plus the final
-/// worst-axis error in degrees.
-fn run_kf3<A: Arith + 'static>(arith: A, n: usize, seed: u64) -> (FusionSession, f64) {
-    let truth = EulerAngles::from_degrees(2.0, -1.5, 2.5);
-    let mut session = FusionSession::builder()
-        .source(SmallAngleSource::new(truth, n, ACC_RATE_HZ, 0.007, seed))
-        .backend(ArithKf3::with_defaults(arith))
-        .truth(truth)
-        .build();
-    session.run_to_end();
-    let err = rad_to_deg(session.estimate().angles.error_to(&truth).max_abs());
-    (session, err)
-}
 
 /// One substrate's full-IEKF measurements.
 struct FullRun {
@@ -159,78 +134,6 @@ fn main() {
     let args = BenchArgs::parse();
     let n = args.num(0, 20_000.0) as usize;
 
-    // ---- Tier 1: the 3-state small-angle ablation -------------------
-    let (_, err_f64) = run_kf3(F64Arith::default(), n, 7);
-    let (soft_session, err_soft) = run_kf3(SoftArith::default(), n, 7);
-    let (fixed_session, err_fixed) = run_kf3(QArith::<16>::default(), n, 7);
-
-    let backend: &ArithKf3<SoftArith> = soft_session.backend_as().expect("softfloat backend");
-    let stats = backend.kf().arith().fpu.stats();
-    let cycles_per_update = stats.cycles as f64 / n as f64;
-    let ops_per_update = stats.total_ops() as f64 / n as f64;
-    let soft_util = cycles_per_update * ACC_RATE_HZ / SABRE_CLOCK_HZ;
-
-    let fixed_backend: &ArithKf3<QArith<16>> = fixed_session.backend_as().expect("fixed backend");
-    let fixed_cycles_per_update = fixed_backend.kf().arith().cycles() as f64 / n as f64;
-    let fixed_util = fixed_cycles_per_update * ACC_RATE_HZ / SABRE_CLOCK_HZ;
-    let fixed_sats = fixed_backend.kf().arith().saturations();
-
-    let costs = CycleCosts::sabre_default();
-    print_table(
-        &format!("Ablation A1: 3-state filter arithmetic ({n} updates at {ACC_RATE_HZ} Hz)"),
-        &[
-            "arithmetic",
-            "worst-axis error (deg)",
-            "cycles/update",
-            "Sabre CPU @25 MHz",
-            "saturations",
-        ],
-        &[
-            vec![
-                "native f64 (reference)".into(),
-                format!("{err_f64:.4}"),
-                "n/a (host FPU)".into(),
-                "n/a".into(),
-                "0".into(),
-            ],
-            vec![
-                "Softfloat f64 (paper)".into(),
-                format!("{err_soft:.4}"),
-                format!("{cycles_per_update:.0}"),
-                format!("{:.1}%", soft_util * 100.0),
-                "0".into(),
-            ],
-            vec![
-                "Q16.16 fixed point".into(),
-                format!("{err_fixed:.4}"),
-                format!("{fixed_cycles_per_update:.0}"),
-                format!("{:.2}%", fixed_util * 100.0),
-                format!("{fixed_sats}"),
-            ],
-        ],
-    );
-    println!(
-        "\nsoftfloat ops/update: {ops_per_update:.1} (add {}, mul {}, div {})",
-        stats.add_f64 / n as u64,
-        stats.mul_f64 / n as u64,
-        stats.div_f64 / n as u64
-    );
-    println!(
-        "cost model: add={} mul={} div={} cycles (CycleCosts::sabre_default); fixed add={} mul={} div={}",
-        costs.add_f64,
-        costs.mul_f64,
-        costs.div_f64,
-        QArith::<16>::CYCLE_ADD,
-        QArith::<16>::CYCLE_MUL,
-        QArith::<16>::CYCLE_DIV,
-    );
-    assert_eq!(
-        err_f64.to_bits(),
-        err_soft.to_bits(),
-        "softfloat must match native bit-for-bit"
-    );
-
-    // ---- Tier 2: the full 5-state IEKF over each substrate ----------
     // The three substrate runs are independent (each owns its seeded
     // source), so they fan out over the worker pool; results come back
     // in substrate order and are bit-identical to the serial sweep.
@@ -308,7 +211,7 @@ fn main() {
     }
     print_table(
         &format!(
-            "Ablation A1-full: 5-state IEKF arithmetic (static scenario, {:.0} s at {ACC_RATE_HZ} Hz)",
+            "Ablation A1: 5-state IEKF arithmetic (static scenario, {:.0} s at {ACC_RATE_HZ} Hz)",
             spec.duration_s
         ),
         &[
@@ -404,15 +307,23 @@ fn main() {
         print_baseline_deltas("vs committed bench_baselines/", &deltas);
     }
 
-    // The emulated IEEE run of the real filter is bit-identical to the
-    // native reference — same property the 3-state tier pins.
-    let soft_angles = runs[1].result.estimate.angles;
-    assert_eq!(
-        reference_angles.roll.to_bits(),
-        soft_angles.roll.to_bits(),
-        "full-IEKF softfloat must match native bit-for-bit"
-    );
-    println!("expected shape: softfloat == f64 bit-for-bit on the full IEKF; fixed point");
+    // The emulated IEEE run of the filter is bit-identical to the
+    // native reference: every angle and the final worst-axis error.
+    let soft = &runs[1].result;
+    let soft_angles = soft.estimate.angles;
+    for (native, emulated) in [
+        (reference_angles.roll, soft_angles.roll),
+        (reference_angles.pitch, soft_angles.pitch),
+        (reference_angles.yaw, soft_angles.yaw),
+        (runs[0].result.max_error_deg(), soft.max_error_deg()),
+    ] {
+        assert_eq!(
+            native.to_bits(),
+            emulated.to_bits(),
+            "softfloat must match native bit-for-bit"
+        );
+    }
+    println!("expected shape: softfloat == f64 bit-for-bit; fixed point");
     println!("stays inside the trust region with divergence attributable to its saturation");
     println!("and quantization counters.");
 }

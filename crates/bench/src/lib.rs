@@ -294,114 +294,9 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The small-angle excitation the arithmetic ablation streams, as a
-/// [`boresight::SensorSource`]: a sinusoidal specific-force truth with the
-/// misalignment applied through the linearized model
-/// `z = f - e x f + v` — exactly what the 3-state ablation filter
-/// assumes, so filter error isolates the arithmetic substrate.
-pub struct SmallAngleSource {
-    truth: mathx::Vec3,
-    rng: rand::rngs::StdRng,
-    gauss: mathx::GaussianSampler,
-    noise_sigma: f64,
-    dt: f64,
-    steps: usize,
-    next_step: usize,
-}
-
-impl SmallAngleSource {
-    /// `n` updates at `rate_hz` with the given true misalignment and
-    /// measurement noise.
-    pub fn new(
-        truth: mathx::EulerAngles,
-        n: usize,
-        rate_hz: f64,
-        noise_sigma: f64,
-        seed: u64,
-    ) -> Self {
-        Self {
-            truth: truth.as_vec3(),
-            rng: mathx::rng::seeded_rng(seed),
-            gauss: mathx::GaussianSampler::new(),
-            noise_sigma,
-            dt: 1.0 / rate_hz,
-            steps: n,
-            next_step: 0,
-        }
-    }
-}
-
-impl boresight::SensorSource for SmallAngleSource {
-    fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    fn duration_s(&self) -> Option<f64> {
-        Some(self.steps as f64 * self.dt)
-    }
-
-    fn poll(&mut self, t_to: f64, out: &mut Vec<boresight::SensorEvent>) {
-        while self.next_step < self.steps && self.next_step as f64 * self.dt <= t_to + 1e-9 {
-            let i = self.next_step;
-            self.next_step += 1;
-            let t = i as f64 * self.dt;
-            let f = mathx::Vec3::new([
-                2.0 * (0.5 * t).sin(),
-                1.5 * (0.33 * t).cos(),
-                mathx::STANDARD_GRAVITY,
-            ]);
-            out.push(boresight::SensorEvent::Dmu(sensors::DmuSample {
-                seq: i as u16,
-                time_s: t,
-                gyro: mathx::Vec3::zeros(),
-                accel: f,
-            }));
-            let f_s = f - self.truth.cross(&f);
-            out.push(boresight::SensorEvent::Acc {
-                sensor: 0,
-                time_s: t,
-                z: mathx::Vec2::new([
-                    f_s[0]
-                        + self
-                            .gauss
-                            .sample_scaled(&mut self.rng, 0.0, self.noise_sigma),
-                    f_s[1]
-                        + self
-                            .gauss
-                            .sample_scaled(&mut self.rng, 0.0, self.noise_sigma),
-                ]),
-            });
-        }
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.next_step >= self.steps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_angle_source_drives_a_session() {
-        use boresight::arith::F64Arith;
-        use boresight::{ArithKf3, FusionSession};
-
-        let truth = mathx::EulerAngles::from_degrees(1.5, -1.0, 2.0);
-        let mut session = FusionSession::builder()
-            .source(SmallAngleSource::new(truth, 10_000, 200.0, 0.007, 1))
-            .backend(ArithKf3::with_defaults(F64Arith::default()))
-            .truth(truth)
-            .build();
-        session.run_to_end();
-        let err = session.estimate().angles.error_to(&truth);
-        assert!(
-            mathx::rad_to_deg(err.max_abs()) < 0.05,
-            "{:?}",
-            err.to_degrees()
-        );
-    }
 
     #[test]
     fn csv_roundtrip() {

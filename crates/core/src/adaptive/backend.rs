@@ -11,7 +11,6 @@ use crate::monitor::Retune;
 use crate::session::FusionBackend;
 use mathx::Vec2;
 use sensors::DmuSample;
-use std::any::Any;
 
 /// A switch whose triggering window gated out more than this fraction
 /// of its measurement attempts transfers a *reconditioned* covariance
@@ -368,13 +367,5 @@ impl FusionBackend for AdaptiveBackend {
 
     fn label(&self) -> &'static str {
         "iekf5/adaptive"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -1,4 +1,4 @@
-//! Arithmetic substrates: the fusion filters over different number
+//! Arithmetic substrates: the fusion filter over different number
 //! systems.
 //!
 //! The paper runs its filter in IEEE floats emulated by Softfloat on
@@ -6,11 +6,10 @@
 //! conversion of the Sensor Fusion Algorithm from float to fixed-point
 //! calculations" as the obvious enhancement. This module makes that
 //! comparison executable for the *whole* estimation stack: the
-//! [`Arith`] trait abstracts every scalar operation the filters
-//! perform, so the identical algorithms — the 3-state small-angle
-//! [`Kf3`] and the production 5-state iterated EKF
+//! [`Arith`] trait abstracts every scalar operation the filter
+//! performs, so the identical 5-state iterated EKF
 //! ([`crate::lanes::LaneIekf`], whose width-1 form is
-//! [`crate::filter::GenericBoresightFilter`]) — run in
+//! [`crate::filter::GenericBoresightFilter`]) runs in
 //!
 //! * native `f64` ([`F64Arith`]) — the reference,
 //! * native `f32` ([`F32Arith`]) — the cheap host float, half the
@@ -47,14 +46,8 @@
 //! [`QArith::CYCLE_ADD`] and friends, and the native reference
 //! reports zero (host FPU, not cycle-modelled).
 
-// The filter kernel indexes with `for i in 0..3` on purpose: the loops
-// mirror the matrix equations they implement.
-#![allow(clippy::needless_range_loop)]
-
-use crate::smallmat;
 use fpga::fixed::Fixed;
 use fpga::softfloat::{Sf64, SoftFpu};
-use mathx::{EulerAngles, Vec2, Vec3};
 
 /// Per-operation counters shared by every arithmetic substrate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -189,7 +182,7 @@ impl PhaseLedger {
     }
 }
 
-/// Number-system abstraction for the fusion filters.
+/// Number-system abstraction for the fusion filter.
 ///
 /// Implementations count every operation in their [`OpCounts`] ledger;
 /// the provided defaults (negate via subtract-from-zero, fused
@@ -1133,223 +1126,9 @@ impl<const FRAC: u32, const L: usize> LaneSpec<L> for QArith<FRAC> {
     type Lanes = LaneArith<Self, L>;
 }
 
-/// Three-state small-angle misalignment Kalman filter over an
-/// [`Arith`].
-///
-/// State `e = [phi, theta, psi]`; measurement
-/// `z = S (f + [f]x e) + v` — linear, so this is a plain Kalman filter
-/// with `H = S [f]x` recomputed per sample. The dense loops are the
-/// shared [`crate::smallmat`] kernels, the same ones the 5-state
-/// generic IEKF runs on.
-///
-/// # Examples
-///
-/// ```
-/// use boresight::arith::{F64Arith, Kf3};
-/// use mathx::{Vec2, Vec3};
-///
-/// let mut kf = Kf3::new(F64Arith::default(), 0.1, 0.007);
-/// kf.step(Vec2::new([0.0, 0.0]), Vec3::new([0.0, 0.0, 9.81]), 1e-10);
-/// assert!(kf.angles().max_abs() < 0.01);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Kf3<A: Arith> {
-    arith: A,
-    x: [A::T; 3],
-    p: [[A::T; 3]; 3],
-    r: A::T,
-    updates: u64,
-}
-
-impl<A: Arith> Kf3<A> {
-    /// Creates a filter with the given initial angle sigma (rad) and
-    /// measurement sigma (m/s^2).
-    pub fn new(mut arith: A, initial_sigma: f64, measurement_sigma: f64) -> Self {
-        let zero = arith.num(0.0);
-        let p0 = arith.num(initial_sigma * initial_sigma);
-        let r = arith.num(measurement_sigma * measurement_sigma);
-        let mut p = [[zero; 3]; 3];
-        for (i, row) in p.iter_mut().enumerate() {
-            row[i] = p0;
-        }
-        Self {
-            arith,
-            x: [zero; 3],
-            p,
-            r,
-            updates: 0,
-        }
-    }
-
-    /// Borrow the arithmetic context (e.g. to read softfloat stats).
-    pub fn arith(&self) -> &A {
-        &self.arith
-    }
-
-    /// Accepted updates so far.
-    pub fn update_count(&self) -> u64 {
-        self.updates
-    }
-
-    /// Estimated misalignment.
-    pub fn angles(&self) -> EulerAngles {
-        EulerAngles::new(
-            self.arith.to_f64(self.x[0]),
-            self.arith.to_f64(self.x[1]),
-            self.arith.to_f64(self.x[2]),
-        )
-    }
-
-    /// Covariance diagonal (rad^2).
-    pub fn variance(&self) -> Vec3 {
-        Vec3::new([
-            self.arith.to_f64(self.p[0][0]),
-            self.arith.to_f64(self.p[1][1]),
-            self.arith.to_f64(self.p[2][2]),
-        ])
-    }
-
-    /// One predict+update step: process noise `q` (rad^2 per step),
-    /// measurement `z` (ACC x/y, m/s^2), IMU specific force `f`.
-    pub fn step(&mut self, z: Vec2, f: Vec3, q: f64) {
-        let a = &mut self.arith;
-        // Predict: P += q I.
-        let qv = a.num(q);
-        for i in 0..3 {
-            self.p[i][i] = a.add(self.p[i][i], qv);
-        }
-        // H = S [f]x  (rows: [0, -fz, fy] and [fz, 0, -fx]).
-        let fx = a.num(f[0]);
-        let fy = a.num(f[1]);
-        let fz = a.num(f[2]);
-        let zero = a.num(0.0);
-        let nfz = a.neg(fz);
-        let nfx = a.neg(fx);
-        let h = [[zero, nfz, fy], [fz, zero, nfx]];
-        // ph = P H^T (3x2), s = H (P H^T) + R (2x2).
-        let ph = smallmat::mul_nt(a, &self.p, &h);
-        let mut s = smallmat::mul(a, &h, &ph);
-        for i in 0..2 {
-            s[i][i] = a.add(s[i][i], self.r);
-        }
-        // Gauss-Jordan 2x2 inverse (shared with the 5-state IEKF). The
-        // closed-form adj/det inverse is unusable in Q16.16: once the
-        // covariance reaches the quantization floor the determinant
-        // (~R^2) underflows to zero and the gain saturates; pivoting
-        // row reduction divides by S entries instead, which stay
-        // representable.
-        let Some(si) = smallmat::inverse(a, &s) else {
-            return;
-        };
-        // K = PH * S^-1 (3x2).
-        let kmat = smallmat::mul(a, &ph, &si);
-        // Innovation: z - (S f + H x).
-        let hx = smallmat::mat_vec(a, &h, &self.x);
-        let zf = [a.num(z[0]), a.num(z[1])];
-        let sf = [fx, fy];
-        let mut innov = [zero; 2];
-        for i in 0..2 {
-            let pred = a.add(sf[i], hx[i]);
-            innov[i] = a.sub(zf[i], pred);
-        }
-        // x += K * innovation.
-        let dx = smallmat::mat_vec(a, &kmat, &innov);
-        for i in 0..3 {
-            self.x[i] = a.add(self.x[i], dx[i]);
-        }
-        // Joseph-form covariance update (the kernel shared with the
-        // 5-state IEKF). The standard form `P - K (PH)^T` loses
-        // positive definiteness under coarse rounding — in Q16.16 it
-        // went indefinite within a handful of steps — while the Joseph
-        // form is a sum of (near-)PSD terms and stays bounded.
-        self.p = smallmat::joseph_update(a, &self.p, &kmat, &h, self.r);
-        self.updates += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mathx::rng::seeded_rng;
-    use mathx::{rad_to_deg, GaussianSampler, STANDARD_GRAVITY};
-
-    fn simulate<A: Arith>(arith: A, n: usize, sigma: f64, seed: u64) -> Kf3<A> {
-        let truth = EulerAngles::from_degrees(1.5, -1.0, 2.0);
-        let e = truth.as_vec3();
-        let mut kf = Kf3::new(arith, 0.1, sigma);
-        let mut rng = seeded_rng(seed);
-        let mut gauss = GaussianSampler::new();
-        let g = STANDARD_GRAVITY;
-        for i in 0..n {
-            let t = i as f64 * 0.005;
-            let f = Vec3::new([2.0 * (0.5 * t).sin(), 1.5 * (0.33 * t).cos(), g]);
-            // Small-angle truth measurement.
-            let f_s = f - e.cross(&f);
-            let z = Vec2::new([
-                f_s[0] + gauss.sample_scaled(&mut rng, 0.0, sigma),
-                f_s[1] + gauss.sample_scaled(&mut rng, 0.0, sigma),
-            ]);
-            kf.step(z, f, 1e-10);
-        }
-        kf
-    }
-
-    #[test]
-    fn f64_filter_converges() {
-        let kf = simulate(F64Arith::default(), 10_000, 0.007, 1);
-        let err = kf
-            .angles()
-            .error_to(&EulerAngles::from_degrees(1.5, -1.0, 2.0));
-        assert!(rad_to_deg(err.max_abs()) < 0.05, "{:?}", err.to_degrees());
-    }
-
-    #[test]
-    fn softfloat_filter_matches_f64_exactly() {
-        // Same algorithm, same inputs: IEEE emulation must agree with
-        // the native FPU bit-for-bit at every step, so the final
-        // estimates are identical.
-        let native = simulate(F64Arith::default(), 2_000, 0.007, 2);
-        let soft = simulate(SoftArith::default(), 2_000, 0.007, 2);
-        let a = native.angles();
-        let b = soft.angles();
-        assert_eq!(a.roll.to_bits(), b.roll.to_bits());
-        assert_eq!(a.pitch.to_bits(), b.pitch.to_bits());
-        assert_eq!(a.yaw.to_bits(), b.yaw.to_bits());
-    }
-
-    #[test]
-    fn softfloat_op_counts_are_recorded() {
-        let soft = simulate(SoftArith::default(), 100, 0.007, 3);
-        let stats = soft.arith().fpu.stats();
-        assert!(stats.total_ops() > 10_000, "{}", stats.total_ops());
-        assert!(stats.cycles > 100_000);
-        // Divisions only come from the Gauss-Jordan 2x2 inverse: two
-        // pivot rows of (2 work + 2 inverse) entries = 8 per step.
-        assert_eq!(stats.div_f64, 800);
-        // The shared per-substrate ledger agrees with the FPU's.
-        let counts = soft.arith().counts();
-        assert_eq!(counts.div, 800);
-        assert_eq!(counts.mul, stats.mul_f64);
-        assert_eq!(counts.add + counts.sub, stats.add_f64);
-        assert_eq!(soft.arith().cycles(), stats.cycles);
-    }
-
-    #[test]
-    fn fixed_point_filter_converges_with_degraded_accuracy() {
-        let truth = EulerAngles::from_degrees(1.5, -1.0, 2.0);
-        let fixed = simulate(QArith::<16>::default(), 10_000, 0.007, 4);
-        let err_fixed = rad_to_deg(fixed.angles().error_to(&truth).max_abs());
-        let native = simulate(F64Arith::default(), 10_000, 0.007, 4);
-        let err_native = rad_to_deg(native.angles().error_to(&truth).max_abs());
-        // Fixed point still works at the few-degree scale: once the
-        // covariance hits the Q16.16 quantization floor the gain on the
-        // least-observable axis rounds to zero and that estimate
-        // stalls — the quantified cost of the paper's proposed
-        // enhancement, attributable through the op/saturation ledger.
-        assert!(err_fixed < 5.0, "fixed error {err_fixed} deg");
-        // ...but cannot beat the float path.
-        assert!(err_fixed >= err_native, "{err_fixed} vs {err_native}");
-    }
 
     #[test]
     fn fixed_point_saturation_is_counted_not_wrapped() {
@@ -1425,35 +1204,5 @@ mod tests {
         assert_eq!(sn, s.to_f64(ss));
         assert_eq!(cs, s.to_f64(sc));
         assert!(s.fpu.stats().sincos_f64 > 0);
-    }
-
-    #[test]
-    fn uncounted_f64_is_bit_identical_and_ledger_free() {
-        // The fast instantiation must compute exactly what the counted
-        // reference computes (same machine ops, no ledger writes)...
-        let counted = simulate(F64Arith::default(), 3_000, 0.007, 6);
-        let fast = simulate(F64ArithFast::default(), 3_000, 0.007, 6);
-        let a = counted.angles();
-        let b = fast.angles();
-        assert_eq!(a.roll.to_bits(), b.roll.to_bits());
-        assert_eq!(a.pitch.to_bits(), b.pitch.to_bits());
-        assert_eq!(a.yaw.to_bits(), b.yaw.to_bits());
-        // ...while its ledger stays empty and the reference's fills.
-        assert!(counted.arith().counts().total() > 0);
-        assert_eq!(fast.arith().counts().total(), 0);
-        assert_eq!(fast.arith().counts(), OpCounts::default());
-        assert_eq!(fast.arith().cycles(), 0);
-        assert_eq!(counted.arith().name(), "f64");
-        assert_eq!(fast.arith().name(), "f64/uncounted");
-        assert_eq!(fast.arith().iekf_label(), counted.arith().iekf_label());
-    }
-
-    #[test]
-    fn variance_shrinks_with_updates() {
-        let kf = simulate(F64Arith::default(), 5_000, 0.007, 5);
-        let v = kf.variance();
-        assert!(v[0] < 0.01 * 0.01);
-        assert!(v[1] < 0.01 * 0.01);
-        assert_eq!(kf.update_count(), 5_000);
     }
 }

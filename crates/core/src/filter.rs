@@ -376,7 +376,7 @@ pub fn jp_and_s<A: Arith>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arith::{QArith, SoftArith};
+    use crate::arith::{F64ArithFast, OpCounts, QArith, SoftArith};
     use mathx::rng::seeded_rng;
     use mathx::{deg_to_rad, rad_to_deg, GaussianSampler, STANDARD_GRAVITY};
 
@@ -473,6 +473,44 @@ mod tests {
         assert_eq!(a.yaw.to_bits(), b.yaw.to_bits());
         assert!(soft.arith().cycles() > 0, "cycles must accumulate");
         assert!(soft.arith().counts().trig > 0, "trig must be counted");
+        // The shared per-substrate ledger agrees with the FPU's.
+        let stats = soft.arith().fpu.stats();
+        let counts = soft.arith().counts();
+        assert!(counts.div > 0);
+        assert_eq!(counts.mul, stats.mul_f64);
+        assert_eq!(counts.add + counts.sub, stats.add_f64);
+        assert_eq!(counts.div, stats.div_f64);
+        assert_eq!(soft.arith().cycles(), stats.cycles);
+    }
+
+    #[test]
+    fn uncounted_f64_is_bit_identical_and_ledger_free() {
+        // The fast instantiation must compute exactly what the counted
+        // reference computes (same machine ops, no ledger writes)...
+        let truth = EulerAngles::from_degrees(2.0, -1.5, 3.0);
+        let cfg = FilterConfig::paper_static();
+        let counted = run_filter(truth, Vec2::zeros(), rich_forces(3_000), 0.007, cfg, 6);
+        let fast = run_filter_over(
+            F64ArithFast::default(),
+            truth,
+            Vec2::zeros(),
+            rich_forces(3_000),
+            0.007,
+            cfg,
+            6,
+        );
+        let a = counted.angles();
+        let b = fast.angles();
+        assert_eq!(a.roll.to_bits(), b.roll.to_bits());
+        assert_eq!(a.pitch.to_bits(), b.pitch.to_bits());
+        assert_eq!(a.yaw.to_bits(), b.yaw.to_bits());
+        // ...while its ledger stays empty and the reference's fills.
+        assert!(counted.arith().counts().total() > 0);
+        assert_eq!(fast.arith().counts(), OpCounts::default());
+        assert_eq!(fast.arith().cycles(), 0);
+        assert_eq!(counted.arith().name(), "f64");
+        assert_eq!(fast.arith().name(), "f64/uncounted");
+        assert_eq!(fast.arith().iekf_label(), counted.arith().iekf_label());
     }
 
     #[test]

@@ -48,7 +48,6 @@ use crate::session::FusionBackend;
 use crate::smallmat;
 use mathx::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
 use sensors::DmuSample;
-use std::any::Any;
 use std::ops::IndexMut;
 
 /// `L` independent 5-state iterated EKFs in lockstep over the inner
@@ -941,14 +940,6 @@ impl<A: LaneSpec<L> + Clone + 'static, const L: usize> FusionBackend for LaneBan
         // "iekf5/lanes" for per-lane-loop substrates, "iekf5/simd" for
         // explicit-vector lanes.
         self.filter.arith().iekf_label()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -65,9 +65,9 @@
 //!   the Table-1/Figure-8/Figure-9 data a finished session yields;
 //! * [`arith`] — the arithmetic substrates (native f64, emulated
 //!   Softfloat with Sabre cycle accounting, saturating Q16.16 fixed
-//!   point) with shared per-op instrumentation, plus the 3-state
-//!   ablation filter; the *full* 5-state IEKF runs over any of them
-//!   through [`spec::Substrate`] or [`SessionBuilder::iekf`];
+//!   point) with shared per-op instrumentation; the 5-state IEKF runs
+//!   over any of them through [`spec::Substrate`] or
+//!   [`SessionBuilder::iekf`];
 //! * [`simd`] — the explicit-vector `f64` lane substrate
 //!   ([`SimdArith`]) behind the same [`arith::Arith`] trait: SSE2
 //!   packed doubles on x86_64 under the `simd` cargo feature, with a
@@ -81,9 +81,9 @@
 //! * [`report`] — the shared per-vehicle summary type
 //!   ([`report::VehicleSummary`]) the suite matrix and the fleet both
 //!   emit, plus the streaming RMS accumulator behind it;
-//! * [`smallmat`] — the substrate-generic dense kernels (products,
-//!   Gauss-Jordan inverse, Cholesky check) shared by the IEKF and the
-//!   3-state ablation filter;
+//! * [`smallmat`] — the substrate-generic small-matrix kernels the
+//!   IEKF runs on (products, the closed-form 2x2 SPD inverse, the
+//!   packed Joseph update, the Cholesky check);
 //! * [`system`] — the full Figure-2 system simulation: sensors, CAN,
 //!   bridge, UARTs, reconstruction, fusion (the IEKF on Softfloat,
 //!   priced in Sabre cycles), the Sabre soft core publishing to its
@@ -201,9 +201,9 @@ pub use replay::{
 pub use report::{RunningRms, VehicleSummary};
 pub use scenario::{RunResult, ScenarioConfig};
 pub use session::{
-    ArithDivergence, ArithKf3, ChannelConfig, CommsChainSource, EventSink, FusionBackend,
-    FusionSession, IntoSharedTrajectory, LinkFaultConfig, SensorEvent, SensorSource,
-    SessionBuilder, SessionGroup, SessionStats, SyntheticSource, UartReplaySource,
+    ArithDivergence, ChannelConfig, CommsChainSource, EventSink, FusionBackend, FusionSession,
+    IntoSharedTrajectory, LinkFaultConfig, SensorEvent, SensorSource, SessionBuilder, SessionGroup,
+    SessionStats, SyntheticSource, UartReplaySource,
 };
 pub use simd::{F64Lanes, SimdArith, SimdF64};
 pub use spec::{

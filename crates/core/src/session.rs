@@ -10,8 +10,8 @@
 //!   the full CAN/UART front end of Figure 2 ([`CommsChainSource`]),
 //!   or replay of captured serial bytes ([`UartReplaySource`]);
 //! * [`FusionBackend`] — consumes events and maintains the estimate:
-//!   the production 5-state IEKF ([`BoresightEstimator`]), the 3-state
-//!   ablation filter over any [`Arith`] number system ([`ArithKf3`]),
+//!   the production 5-state IEKF over any [`Arith`] number system
+//!   ([`GenericBoresightEstimator`], [`BoresightEstimator`] on `f64`)
 //!   or a multi-sensor [`crate::lanes::LaneBank`];
 //! * [`EventSink`] — observes the stream: trace recorders, retune
 //!   logs, the Sabre publish block, video-correction hooks.
@@ -65,7 +65,7 @@
 //! assert!(session.into_result().max_error_deg() < 0.5);
 //! ```
 
-use crate::arith::{Arith, Kf3};
+use crate::arith::Arith;
 use crate::estimator::{
     BoresightEstimator, EstimatorConfig, GenericBoresightEstimator, MisalignmentEstimate,
 };
@@ -290,12 +290,6 @@ pub trait FusionBackend: Any + Send {
 
     /// Short human-readable backend name (shows up in reports).
     fn label(&self) -> &'static str;
-
-    /// Upcast for [`FusionSession::backend_as`].
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for [`FusionSession::backend_as_mut`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The full 5-state IEKF over *any* arithmetic substrate as a session
@@ -330,111 +324,6 @@ impl<A: Arith + Clone + 'static> FusionBackend for GenericBoresightEstimator<A> 
 
     fn label(&self) -> &'static str {
         self.filter().arith().iekf_label()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The 3-state ablation filter as a session backend, generic over the
-/// arithmetic substrate — the hook that lets one session type cover
-/// the paper configuration (Softfloat), the fixed-point enhancement
-/// and the native reference.
-pub struct ArithKf3<A: Arith> {
-    kf: Kf3<A>,
-    last_dmu: Option<DmuSample>,
-    process_noise: f64,
-    measurement_sigma: f64,
-}
-
-impl<A: Arith> ArithKf3<A> {
-    /// Creates a backend with the given initial angle sigma (rad),
-    /// measurement sigma (m/s^2) and per-update process noise (rad^2).
-    pub fn new(arith: A, initial_sigma: f64, measurement_sigma: f64, process_noise: f64) -> Self {
-        Self {
-            kf: Kf3::new(arith, initial_sigma, measurement_sigma),
-            last_dmu: None,
-            process_noise,
-            measurement_sigma,
-        }
-    }
-
-    /// Paper-style defaults (0.1 rad initial sigma, 0.007 m/s^2
-    /// measurement sigma, 1e-10 rad^2 process noise).
-    pub fn with_defaults(arith: A) -> Self {
-        Self::new(arith, 0.1, 0.007, 1e-10)
-    }
-
-    /// The wrapped filter (e.g. to read Softfloat cycle stats).
-    pub fn kf(&self) -> &Kf3<A> {
-        &self.kf
-    }
-}
-
-impl<A: Arith + 'static> FusionBackend for ArithKf3<A> {
-    fn ingest_dmu(&mut self, sample: &DmuSample) {
-        self.last_dmu = Some(*sample);
-    }
-
-    fn ingest_acc(&mut self, sensor: usize, time_s: f64, z: Vec2) -> Option<KalmanUpdate> {
-        assert_eq!(sensor, 0, "ArithKf3 fuses a single sensor");
-        let f = self.last_dmu?.accel;
-        // Innovation record in f64 (the backend arithmetic is only used
-        // for the filter itself): H rows are [0, -fz, fy] and
-        // [fz, 0, -fx], and the innovation sigma is approximated from
-        // the covariance diagonal.
-        let e = self.kf.angles();
-        let pred = [
-            f[0] - f[2] * e.pitch + f[1] * e.yaw,
-            f[1] + f[2] * e.roll - f[0] * e.yaw,
-        ];
-        let v = self.kf.variance();
-        let r = self.measurement_sigma * self.measurement_sigma;
-        let s = [
-            (f[2] * f[2] * v[1] + f[1] * f[1] * v[2] + r).sqrt(),
-            (f[2] * f[2] * v[0] + f[0] * f[0] * v[2] + r).sqrt(),
-        ];
-        self.kf.step(z, f, self.process_noise);
-        Some(KalmanUpdate {
-            time_s,
-            innovation: Vec2::new([z[0] - pred[0], z[1] - pred[1]]),
-            innovation_sigma: Vec2::new(s),
-            accepted: true,
-        })
-    }
-
-    fn current_estimate(&self) -> MisalignmentEstimate {
-        let v = self.kf.variance();
-        MisalignmentEstimate {
-            angles: self.kf.angles(),
-            one_sigma: Vec3::new([
-                v[0].max(0.0).sqrt(),
-                v[1].max(0.0).sqrt(),
-                v[2].max(0.0).sqrt(),
-            ]),
-            updates: self.kf.update_count(),
-        }
-    }
-
-    fn measurement_sigma(&self) -> f64 {
-        self.measurement_sigma
-    }
-
-    fn label(&self) -> &'static str {
-        self.kf.arith().name()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1152,12 +1041,6 @@ impl SessionBuilder {
         self.backend(GenericBoresightEstimator::with_arith(arith, config))
     }
 
-    /// Convenience: the 3-state ablation filter over `arith` with
-    /// paper-style defaults.
-    pub fn arith_backend(self, arith: impl Arith + 'static) -> Self {
-        self.backend(ArithKf3::with_defaults(arith))
-    }
-
     /// Attaches an event sink (use `Arc<Mutex<_>>` to keep a handle).
     pub fn sink(mut self, sink: impl EventSink + 'static) -> Self {
         self.sinks.push(Box::new(sink));
@@ -1326,12 +1209,14 @@ impl FusionSession {
 
     /// The backend, by concrete type.
     pub fn backend_as<B: FusionBackend>(&self) -> Option<&B> {
-        self.backend.as_any().downcast_ref()
+        let backend: &dyn Any = &*self.backend;
+        backend.downcast_ref()
     }
 
     /// The backend, mutably, by concrete type.
     pub fn backend_as_mut<B: FusionBackend>(&mut self) -> Option<&mut B> {
-        self.backend.as_any_mut().downcast_mut()
+        let backend: &mut dyn Any = &mut *self.backend;
+        backend.downcast_mut()
     }
 
     /// Advances the session clock by `dt` seconds, dispatching every
@@ -1623,7 +1508,7 @@ impl SessionGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arith::{F64Arith, QArith, SoftArith};
+    use crate::arith::{QArith, SoftArith};
     use crate::spec::{ScenarioSpec, Substrate, TrajectorySpec};
     use mathx::rad_to_deg;
 
@@ -1677,55 +1562,6 @@ mod tests {
         let b = spec.run();
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.residuals, b.residuals);
-    }
-
-    #[test]
-    fn arith_backends_interleave_in_one_group() {
-        let spec = short_spec(5);
-        let table = spec.lower_trajectory();
-        let mut group = SessionGroup::new();
-        group.push(
-            FusionSession::builder()
-                .source_boxed(spec.into_source(&table))
-                .arith_backend(F64Arith::default())
-                .truth(spec.truth)
-                .build(),
-        );
-        group.push(
-            FusionSession::builder()
-                .source_boxed(spec.into_source(&table))
-                .arith_backend(QArith::<16>::default())
-                .truth(spec.truth)
-                .build(),
-        );
-        group.run_interleaved(0.5);
-        assert!(group.all_finished());
-        let [f64_s, fixed_s] = group.sessions() else {
-            panic!("two sessions")
-        };
-        assert_eq!(f64_s.backend_label(), "f64");
-        assert_eq!(fixed_s.backend_label(), "q16.16");
-        // Both 3-state filters see the full biased measurement (no bias
-        // states), so just check they tracked the same answer and the
-        // float path did no worse than fixed point.
-        let err =
-            |s: &FusionSession| rad_to_deg(s.estimate().angles.error_to(&s.truth()).max_abs());
-        assert!(err(f64_s) < 1.0, "f64 err {}", err(f64_s));
-        assert!(err(fixed_s) < 2.0, "fixed err {}", err(fixed_s));
-    }
-
-    #[test]
-    fn softfloat_backend_accounts_cycles() {
-        let spec = short_spec(6);
-        let mut session = FusionSession::builder()
-            .source_boxed(spec.into_source(spec.lower_trajectory()))
-            .arith_backend(SoftArith::default())
-            .build();
-        session.run_for(5.0);
-        let backend: &ArithKf3<SoftArith> = session.backend_as().expect("softfloat backend");
-        let stats = backend.kf().arith().fpu.stats();
-        assert!(stats.cycles > 0, "softfloat cycles should accumulate");
-        assert_eq!(session.backend_label(), "softfloat/f64");
     }
 
     #[test]

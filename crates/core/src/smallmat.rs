@@ -1,11 +1,16 @@
 //! Shared small-matrix kernels over an [`Arith`] substrate.
 //!
-//! Every dense loop the estimation stack needs — products, transposed
-//! products, Gauss-Jordan inversion, Cholesky health checks,
-//! symmetrization — lives here once, generic over the number system,
-//! and is used by both the 3-state ablation filter
-//! ([`crate::arith::Kf3`]) and the production 5-state IEKF
-//! ([`crate::lanes::LaneIekf`]).
+//! Every small-matrix loop the IEKF ([`crate::lanes::LaneIekf`])
+//! needs — products, the closed-form 2x2 SPD inverse, the packed
+//! Joseph update, Cholesky health checks — lives here once, generic
+//! over the number system.
+//!
+//! The dense kernels those replace (`inverse`, `joseph_update`,
+//! `innovation_cov` and the helpers only they use), and the
+//! `inverse2_sym` wrapper the filter runs only in its pivoted per-lane
+//! form, compile only under `cfg(test)` or the `test-support` feature:
+//! they are the references the structured kernels are pinned against,
+//! not part of the filter.
 //!
 //! The accumulation order of every kernel deliberately mirrors the
 //! `mathx` dense operators (accumulator starts at zero, innermost index
@@ -71,6 +76,7 @@ pub fn mul<A: Arith, const R: usize, const C: usize, const K: usize>(
 }
 
 /// Matrix product against a transpose, `X * Y^T`, without moving data.
+#[cfg(any(test, feature = "test-support"))]
 pub fn mul_nt<A: Arith, const R: usize, const C: usize, const K: usize>(
     a: &mut A,
     x: &[[A::T; C]; R],
@@ -127,6 +133,7 @@ pub fn mat_tvec<A: Arith, const R: usize, const C: usize>(
 }
 
 /// Element-wise sum `X + Y`.
+#[cfg(any(test, feature = "test-support"))]
 pub fn add<A: Arith, const R: usize, const C: usize>(
     a: &mut A,
     x: &[[A::T; C]; R],
@@ -157,6 +164,7 @@ pub fn sub<A: Arith, const R: usize, const C: usize>(
 }
 
 /// Element-wise scale `X * s` (element first, like `mathx`).
+#[cfg(any(test, feature = "test-support"))]
 pub fn scale<A: Arith, const R: usize, const C: usize>(
     a: &mut A,
     x: &[[A::T; C]; R],
@@ -173,12 +181,14 @@ pub fn scale<A: Arith, const R: usize, const C: usize>(
 
 /// `identity * s` — including the explicit zero-element multiplies the
 /// dense `mathx` formulation performs, so op ledgers stay comparable.
+#[cfg(any(test, feature = "test-support"))]
 pub fn scaled_identity<A: Arith, const N: usize>(a: &mut A, s: A::T) -> [[A::T; N]; N] {
     let id = identity::<A, N>(a);
     scale(a, &id, s)
 }
 
 /// `0.5 * (X + X^T)` — the Kalman covariance re-symmetrization.
+#[cfg(any(test, feature = "test-support"))]
 pub fn symmetrized<A: Arith, const N: usize>(a: &mut A, x: &[[A::T; N]; N]) -> [[A::T; N]; N] {
     let half = a.num(0.5);
     let mut out = *x;
@@ -249,6 +259,7 @@ pub fn vec_sub<A: Arith, const N: usize>(a: &mut A, x: &[A::T; N], y: &[A::T; N]
 /// same pivot choice, `1e-300` singularity threshold and elimination
 /// order as `mathx::Matrix::inverse`, so the `f64` instantiation is
 /// bit-identical to it.
+#[cfg(any(test, feature = "test-support"))]
 pub fn inverse<A: Arith, const N: usize>(a: &mut A, m: &[[A::T; N]; N]) -> Option<[[A::T; N]; N]> {
     let zero = a.num(0.0);
     let tiny = a.num(1e-300);
@@ -298,10 +309,11 @@ pub fn inverse<A: Arith, const N: usize>(a: &mut A, m: &[[A::T; N]; N]) -> Optio
 }
 
 /// Joseph-form Kalman covariance update,
-/// `P' = (I - K H) P (I - K H)^T + K (r I) K^T`, re-symmetrized —
-/// the shared sequence both [`crate::arith::Kf3`] and the generic
-/// IEKF apply (a sum of (near-)PSD terms, which is what keeps the
-/// covariance bounded under coarse fixed-point rounding).
+/// `P' = (I - K H) P (I - K H)^T + K (r I) K^T`, re-symmetrized — the
+/// dense reference for [`joseph_update_sym`] (a sum of (near-)PSD
+/// terms, which is what keeps the covariance bounded under coarse
+/// fixed-point rounding).
+#[cfg(any(test, feature = "test-support"))]
 pub fn joseph_update<A: Arith, const N: usize, const M: usize>(
     a: &mut A,
     p: &[[A::T; N]; N],
@@ -370,16 +382,17 @@ pub fn innovation_cov<A: Arith, const N: usize, const M: usize>(
 /// (indefinite or singular), mirroring the Gauss-Jordan singularity
 /// guard, including the exact-zero arm for substrates where the
 /// `1e-300` threshold quantizes to zero.
+#[cfg(any(test, feature = "test-support"))]
 pub fn inverse2_sym<A: Arith>(a: &mut A, s: &[[A::T; 2]; 2]) -> Option<[[A::T; 2]; 2]> {
     let zero = a.num(0.0);
     let tiny = a.num(1e-300);
     inverse2_sym_pivoted(a, s, |a, d| !(a.lt(d, tiny) || a.eq(d, zero)))
 }
 
-/// [`inverse2_sym`] with the pivot test supplied by the caller
-/// (`pivot_ok` returns `true` to go on). The lane IEKF tests every
-/// lane's pivot, masks the lanes that fail and stops only once none is
-/// left ([`crate::lanes::LaneIekf`]).
+/// The closed-form SPD 2x2 inverse (`inverse2_sym`) with the pivot
+/// test supplied by the caller (`pivot_ok` returns `true` to go on).
+/// The lane IEKF tests every lane's pivot, masks the lanes that fail
+/// and stops only once none is left ([`crate::lanes::LaneIekf`]).
 pub(crate) fn inverse2_sym_pivoted<A: Arith>(
     a: &mut A,
     s: &[[A::T; 2]; 2],
@@ -410,7 +423,7 @@ pub(crate) fn inverse2_sym_pivoted<A: Arith>(
 /// measurement with a scalar-`r I` noise: computes only the upper
 /// triangle of `(I - K H) P (I - K H)^T + K (r I) K^T` and mirrors it,
 /// skipping the explicit `r I` matrix, the `K (r I)` product and the
-/// dense re-symmetrization pass of [`joseph_update`].
+/// dense re-symmetrization pass of the reference `joseph_update`.
 ///
 /// The result is exactly symmetric by construction (the invariant the
 /// symmetric-`P` fast path of the IEKF relies on). Each unique entry

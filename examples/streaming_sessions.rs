@@ -1,21 +1,19 @@
 //! Streaming sessions: several concurrent fusion runs — each on a
-//! different arithmetic backend — interleaved on one thread.
+//! different arithmetic substrate — interleaved on one thread.
 //!
 //! The paper's fusion core is a streaming system; `FusionSession`
-//! exposes that directly. Part one interleaves the 3-state ablation
-//! filter over native f64, Softfloat (the paper's Sabre configuration)
-//! and Q16.16 fixed point. Part two does the same with the **full
-//! 5-state boresight IEKF** — the production algorithm over every
-//! substrate — one `ScenarioSpec` per `Substrate` over one shared
-//! trajectory — with the divergence of each number system from the
-//! f64 reference reported live.
+//! exposes that directly. The 5-state boresight IEKF runs over native
+//! f64, Softfloat (the paper's Sabre configuration) and Q16.16 fixed
+//! point — one `ScenarioSpec` per `Substrate` over one shared
+//! trajectory — stepped round-robin, with the divergence of each
+//! number system from the f64 reference reported live.
 //!
 //! Run with `cargo run --release --example streaming_sessions`.
 
-use sensor_fusion_fpga::fusion::arith::{Arith, F64Arith, QArith, SoftArith};
+use sensor_fusion_fpga::fusion::arith::{Arith, QArith, SoftArith};
 use sensor_fusion_fpga::fusion::estimator::GenericBoresightEstimator;
 use sensor_fusion_fpga::fusion::spec::{ScenarioSpec, Substrate};
-use sensor_fusion_fpga::fusion::{ArithKf3, FusionSession, IntoSharedTrajectory, SessionGroup};
+use sensor_fusion_fpga::fusion::{IntoSharedTrajectory, SessionGroup};
 use sensor_fusion_fpga::math::{rad_to_deg, EulerAngles};
 use std::sync::Arc;
 
@@ -26,70 +24,7 @@ fn main() {
         .with_duration(60.0);
     let table = spec.lower_trajectory().into_shared();
 
-    // --- Part 1: the 3-state ablation filter per substrate ----------
-    let mut group = SessionGroup::new();
-    group.push(
-        FusionSession::builder()
-            .source_boxed(spec.into_source(Arc::clone(&table)))
-            .backend(ArithKf3::with_defaults(F64Arith::default()))
-            .truth(truth)
-            .build(),
-    );
-    group.push(
-        FusionSession::builder()
-            .source_boxed(spec.into_source(Arc::clone(&table)))
-            .backend(ArithKf3::with_defaults(SoftArith::default()))
-            .truth(truth)
-            .build(),
-    );
-    group.push(
-        FusionSession::builder()
-            .source_boxed(spec.into_source(Arc::clone(&table)))
-            .backend(ArithKf3::with_defaults(QArith::<16>::default()))
-            .truth(truth)
-            .build(),
-    );
-
-    // Round-robin half-second slices; print a progress line per lap so
-    // the interleaving is visible.
-    let mut lap = 0u32;
-    while !group.all_finished() {
-        group.step_all(0.5);
-        lap += 1;
-        if lap.is_multiple_of(20) {
-            let snapshots: Vec<String> = group
-                .sessions()
-                .iter()
-                .map(|s| {
-                    let e = s.estimate().angles.error_to(&s.truth());
-                    format!(
-                        "{:<13} {:.3} deg",
-                        s.backend_label(),
-                        rad_to_deg(e.max_abs())
-                    )
-                })
-                .collect();
-            println!(
-                "t = {:>5.1} s | {}",
-                group.sessions()[0].time_s(),
-                snapshots.join(" | ")
-            );
-        }
-    }
-
-    println!("\nfinal worst-axis error by arithmetic backend (3-state ablation):");
-    for session in group.sessions() {
-        let err = session.estimate().angles.error_to(&session.truth());
-        println!(
-            "  {:<13} {:>7.4} deg after {} updates",
-            session.backend_label(),
-            rad_to_deg(err.max_abs()),
-            session.estimate().updates,
-        );
-    }
-
-    // --- Part 2: the full 5-state IEKF per substrate ----------------
-    println!("\nfull 5-state IEKF sweep (divergence measured against the f64 session):");
+    println!("5-state IEKF sweep (divergence measured against the f64 session):");
     let mut sweep = SessionGroup::new();
     for substrate in Substrate::all() {
         let cell = spec.clone().with_substrate(substrate);

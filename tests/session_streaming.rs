@@ -2,9 +2,10 @@
 //! the facade crate: determinism regression, batch/stream parity, and
 //! interleaved multi-backend groups.
 
-use sensor_fusion_fpga::fusion::arith::{QArith, SoftArith};
-use sensor_fusion_fpga::fusion::spec::ScenarioSpec;
-use sensor_fusion_fpga::fusion::{ArithKf3, FusionSession, SessionGroup};
+use sensor_fusion_fpga::fusion::adaptive::AdaptiveBackend;
+use sensor_fusion_fpga::fusion::estimator::BoresightEstimator;
+use sensor_fusion_fpga::fusion::spec::{ScenarioSpec, Substrate};
+use sensor_fusion_fpga::fusion::{FusionSession, SessionGroup};
 use sensor_fusion_fpga::math::{rad_to_deg, EulerAngles};
 
 fn short_spec(seed: u64) -> ScenarioSpec {
@@ -52,10 +53,10 @@ fn batch_shim_equals_hand_stepped_session() {
     assert_eq!(batch, streamed);
 }
 
-/// Acceptance: two concurrent sessions with different `Arith` backends
+/// Acceptance: two concurrent sessions on different `Arith` substrates
 /// stepped in an interleaved fashion, against the same scenario.
 #[test]
-fn concurrent_sessions_with_different_arith_backends_interleave() {
+fn concurrent_sessions_on_different_substrates_interleave() {
     let truth = EulerAngles::from_degrees(2.0, -1.5, 2.5);
     let spec = ScenarioSpec::named("interleaved")
         .with_truth(truth)
@@ -64,18 +65,14 @@ fn concurrent_sessions_with_different_arith_backends_interleave() {
 
     let mut group = SessionGroup::new();
     let soft = group.push(
-        FusionSession::builder()
-            .source_boxed(spec.into_source(&table))
-            .backend(ArithKf3::with_defaults(SoftArith::default()))
-            .truth(truth)
-            .build(),
+        spec.clone()
+            .with_substrate(Substrate::Softfloat)
+            .into_session(&table),
     );
     let fixed = group.push(
-        FusionSession::builder()
-            .source_boxed(spec.into_source(&table))
-            .backend(ArithKf3::with_defaults(QArith::<16>::default()))
-            .truth(truth)
-            .build(),
+        spec.clone()
+            .with_substrate(Substrate::Q16_16)
+            .into_session(&table),
     );
     assert_eq!(group.len(), 2);
 
@@ -96,18 +93,30 @@ fn concurrent_sessions_with_different_arith_backends_interleave() {
 
     let soft_s = &group.sessions()[soft];
     let fixed_s = &group.sessions()[fixed];
-    assert_eq!(soft_s.backend_label(), "softfloat/f64");
-    assert_eq!(fixed_s.backend_label(), "q16.16");
-    assert_eq!(soft_s.estimate().updates, fixed_s.estimate().updates);
+    assert_eq!(soft_s.backend_label(), "iekf5/softfloat");
+    assert_eq!(fixed_s.backend_label(), "iekf5/q16.16");
+    assert_eq!(soft_s.stats().events, fixed_s.stats().events);
 
-    // Both tracked the truth through their respective number systems.
-    let err = |s: &FusionSession| rad_to_deg(s.estimate().angles.error_to(&s.truth()).max_abs());
-    assert!(err(soft_s) < 1.0, "softfloat err {}", err(soft_s));
-    assert!(err(fixed_s) < 2.0, "fixed err {}", err(fixed_s));
+    // IEEE emulation is bit-identical to an f64 session of the same
+    // spec; fixed point drifts, but the trust region keeps it bounded.
+    let reference = spec.into_session(&table).into_result().estimate;
+    assert_eq!(soft_s.estimate(), reference);
+    let err = rad_to_deg(soft_s.estimate().angles.error_to(&truth).max_abs());
+    assert!(err < 1.0, "softfloat err {err}");
+    let angle_limit = spec.tuning.estimator_config().filter.angle_limit;
+    let div = rad_to_deg(
+        fixed_s
+            .estimate()
+            .angles
+            .error_to(&reference.angles)
+            .max_abs(),
+    );
+    assert!(div <= 2.0 * rad_to_deg(angle_limit), "q16.16 div {div}");
 }
 
-/// The production estimator and an ablation backend can also share a
-/// group (they are the same session type).
+/// The production estimator and a backend of a different type (the
+/// adaptive substrate supervisor) can share a group: a group holds
+/// sessions, not backends, and each hands its backend back by type.
 #[test]
 fn mixed_production_and_ablation_backends_share_a_group() {
     let spec = short_spec(21);
@@ -115,22 +124,27 @@ fn mixed_production_and_ablation_backends_share_a_group() {
     let mut group = SessionGroup::new();
     group.push(spec.into_session(&table));
     group.push(
-        FusionSession::builder()
-            .source_boxed(spec.into_source(&table))
-            .backend(ArithKf3::with_defaults(QArith::<16>::default()))
-            .truth(spec.truth)
-            .build(),
+        spec.clone()
+            .with_substrate(Substrate::Adaptive)
+            .into_session(&table),
     );
     group.run_interleaved(0.5);
-    let labels: Vec<_> = group.sessions().iter().map(|s| s.backend_label()).collect();
-    assert_eq!(labels, ["iekf5/f64", "q16.16"]);
-    // The production 5-state filter (bias states, gating, monitor)
-    // outperforms the 3-state ablation on the biased measurement.
-    let errs: Vec<f64> = group
-        .sessions()
-        .iter()
-        .map(|s| rad_to_deg(s.estimate().angles.error_to(&s.truth()).max_abs()))
-        .collect();
-    assert!(errs[0] < 0.3, "production err {}", errs[0]);
-    assert!(errs[0] < errs[1], "{} vs {}", errs[0], errs[1]);
+    assert!(group.all_finished());
+    let [f64_s, adaptive_s] = group.sessions() else {
+        panic!("two sessions")
+    };
+    assert_eq!(f64_s.backend_label(), "iekf5/f64");
+    assert_eq!(adaptive_s.backend_label(), "iekf5/adaptive");
+    assert!(f64_s.backend_as::<BoresightEstimator>().is_some());
+    assert!(f64_s.backend_as::<AdaptiveBackend>().is_none());
+    assert!(adaptive_s.backend_as::<AdaptiveBackend>().is_some());
+    assert!(adaptive_s.backend_as::<BoresightEstimator>().is_none());
+    let err = |s: &FusionSession| rad_to_deg(s.estimate().angles.error_to(&s.truth()).max_abs());
+    assert!(err(f64_s) < 0.3, "production err {}", err(f64_s));
+    let angle_limit = spec.tuning.estimator_config().filter.angle_limit;
+    assert!(
+        err(adaptive_s) <= 2.0 * rad_to_deg(angle_limit),
+        "adaptive err {}",
+        err(adaptive_s)
+    );
 }
