@@ -3,13 +3,15 @@
 //! products, the Gauss-Jordan inverse and the Joseph-form covariance
 //! update, on the native-f64 (counted and uncounted) and Q16.16
 //! substrates — plus the structure-exploiting kernels that replaced
-//! them on the hot path (packed-symmetric Joseph, closed-form 2x2
-//! solve), the structured measurement kernels every gate and IEKF
-//! relinearization runs (model + Jacobian, `J P` and `S`) and the
-//! lockstep lane filter at 1/2/4/8 lanes.
+//! them (packed-symmetric Joseph, closed-form 2x2 solve), the
+//! structured kernels the IEKF runs over the measurement Jacobian's
+//! zeros and ones (model + Jacobian and `J P`/`S` at every gate and
+//! relinearization, the Joseph update once per accepted sample, beside
+//! the packed `joseph5_sym` it replaced) and the lockstep lane filter
+//! at 1/2/4/8 lanes.
 
 use boresight::arith::{Arith, F64Arith, F64ArithFast, QArith, SoftArith};
-use boresight::filter::{jp_and_s, FilterConfig};
+use boresight::filter::{joseph_structured, jp_and_s, FilterConfig};
 use boresight::lanes::LaneIekf;
 use boresight::{model, smallmat};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -111,7 +113,8 @@ fn bench_structured<A: Arith + Default>(c: &mut Criterion, name: &str) {
 
 /// One evaluation of the structured measurement kernels at a
 /// filter-like linearization point: the model + Jacobian, then `J P`
-/// and `S` against a symmetric covariance.
+/// and `S` against a symmetric covariance, then the Joseph update with
+/// the gain `(J P)^T S^-1`.
 fn bench_measurement<A: Arith + Default>(c: &mut Criterion, name: &str) {
     let mut a = A::default();
     let x = [0.03, -0.02, 0.05, 0.01, -0.02].map(|v| a.num(v));
@@ -135,6 +138,23 @@ fn bench_measurement<A: Arith + Default>(c: &mut Criterion, name: &str) {
     c.bench_function(&format!("filter/jp_and_s_{name}"), |bench| {
         let mut a = A::default();
         bench.iter(|| black_box(jp_and_s(&mut a, black_box(&jac), black_box(&p), r, true)))
+    });
+    let (jp, s) = jp_and_s(&mut a, &jac, &p, r, true);
+    let s_inv = smallmat::inverse2_sym(&mut a, &s).expect("S is SPD");
+    let pjt = smallmat::transpose(&mut a, &jp);
+    let k = smallmat::mul(&mut a, &pjt, &s_inv);
+    c.bench_function(&format!("smallmat/joseph5_structured_{name}"), |bench| {
+        let mut a = A::default();
+        bench.iter(|| {
+            black_box(joseph_structured(
+                &mut a,
+                black_box(&p),
+                black_box(&k),
+                black_box(&jac),
+                r,
+                true,
+            ))
+        })
     });
 }
 

@@ -427,7 +427,9 @@ impl<A: Arith> ImuPrep<A> {
     /// The body-frame specific force at the ACC's location and time:
     /// the extrapolated IMU stream plus the lever-arm compensation
     /// terms (tangential + centripetal, from the differentiated gyro).
-    /// `None` until a DMU sample has arrived.
+    /// A zero lever arm returns the extrapolated stream itself: its
+    /// terms would only add signed zeros. `None` until a DMU sample has
+    /// arrived.
     pub fn compensated_force(
         &mut self,
         a: &mut A,
@@ -437,6 +439,10 @@ impl<A: Arith> ImuPrep<A> {
         let dmu = self.last_dmu?;
         let gyro = dmu.gyro;
         let f_imu = self.specific_force_at(a, time_s)?;
+        // At a zero lever arm every compensation term is a signed zero.
+        if lever_arm == Vec3::zeros() {
+            return Some(f_imu);
+        }
         // Lever-arm compensation: the ACC sits at r from the IMU, so it
         // senses extra rotational terms we remove using the gyro.
         let angular_accel = self.angular_accel;
@@ -550,6 +556,31 @@ mod tests {
             "{:?}",
             est_angles.to_degrees()
         );
+    }
+
+    #[test]
+    fn zero_lever_arm_returns_the_extrapolated_force_alone() {
+        let mut a = F64Arith::default();
+        let mut prep = ImuPrep::new(&mut a);
+        let w = Vec3::new([0.3, -0.2, 1.0]);
+        prep.on_dmu(&mut a, &dmu_at(0.0, Vec3::new([0.1, -0.2, 9.8]), w));
+        prep.on_dmu(
+            &mut a,
+            &dmu_at(0.01, Vec3::new([0.12, -0.19, 9.81]), w * 1.5),
+        );
+        let extrapolated = prep.clone().specific_force_at(&mut a.clone(), 0.013);
+        let before = a.counts();
+        let f = prep.compensated_force(&mut a, 0.013, Vec3::zeros());
+        assert_eq!(
+            f.map(|f| f.map(f64::to_bits)),
+            extrapolated.map(|f| f.map(f64::to_bits))
+        );
+        let extrapolation = crate::arith::OpCounts {
+            mul: 3,
+            add: 3,
+            ..Default::default()
+        };
+        assert_eq!(a.counts().since(&before), extrapolation);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 use crate::adaptive::snapshot::{positive_quantum, FilterSnapshot, PACKED_COV};
 use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts, PhaseLedger};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
-use crate::filter::{jp_and_s, FilterConfig, KalmanUpdate};
+use crate::filter::{joseph_structured, jp_and_s, FilterConfig, KalmanUpdate};
 use crate::model::{self, State, StateCov, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
@@ -59,7 +59,7 @@ use std::ops::IndexMut;
 /// measurement update relinearizes the two-axis ACC model while the
 /// angle step can still move it (at most
 /// [`FilterConfig::iekf_iterations`] passes), solves the 2x2 innovation
-/// in closed form and updates the covariance in rank-2 Joseph form —
+/// in closed form and updates the covariance in Joseph form —
 /// see [`crate::filter`] for the structure the hot path exploits.
 /// Lanes that diverge in control flow (gate rejection, convergence,
 /// singular innovation) have their state writes masked, so each lane's
@@ -496,10 +496,14 @@ where
     /// ([`model::h_and_jacobian_generic`]), `J P` and the symmetric `S`
     /// over the Jacobian's zeros and ones ([`jp_and_s`]), the gate-pass
     /// model reused verbatim for IEKF iteration 0 (its linearization
-    /// point *is* the prior), the 2x2 innovation solved closed-form,
+    /// point *is* the prior, so its residual is `z - h` with no
+    /// `J (x_pred - x_i)` term), the 2x2 innovation solved closed-form,
     /// `P J^T` read off `J P` by transposition (valid because `P` is
-    /// kept exactly symmetric) and the Joseph update specialized to the
-    /// rank-2 measurement ([`smallmat::joseph_update_sym`]).
+    /// kept exactly symmetric) and the Joseph update over the
+    /// Jacobian's zeros and ones ([`joseph_structured`]). The gain,
+    /// `K · resid` and the Joseph update start every sum with a `mul`
+    /// and drop literal-zero terms, so they are bit-identical to their
+    /// dense formulation.
     ///
     /// `inactive` lanes are frozen from the start: they execute every
     /// instruction with writes masked (state, covariance, counters all
@@ -604,16 +608,30 @@ where
             let Some(s_inv) = solved else {
                 break;
             };
-            // P J^T == (J P)^T entry for entry because P is exactly
-            // symmetric — pure data movement instead of 50 FMAs.
-            let pjt = smallmat::transpose(a, &jp);
-            let k = smallmat::mul(a, &pjt, &s_inv);
-            // IEKF residual: z - h(x_i) - H (x_pred - x_i).
+            // K = P J^T S^-1, reading P J^T off J P by transposition
+            // (P is exactly symmetric) instead of 50 FMAs.
+            let mut k = [[zero; MEAS_DIM]; STATE_DIM];
+            for (st, k_row) in k.iter_mut().enumerate() {
+                for (m, k_st) in k_row.iter_mut().enumerate() {
+                    let t = a.mul(jp[0][st], s_inv[0][m]);
+                    *k_st = a.fma(jp[1][st], s_inv[1][m], t);
+                }
+            }
+            // IEKF residual: z - h(x_i) - J (x_pred - x_i). Pass 0
+            // linearizes at the prior, where the correction is zero.
             let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
-            let dx = smallmat::vec_sub(a, &x_pred, &x_i);
-            let jdx = smallmat::mat_vec(a, &jac, &dx);
-            let resid = [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])];
-            let kr = smallmat::mat_vec(a, &k, &resid);
+            let resid = if iter == 0 {
+                zh
+            } else {
+                let dx = smallmat::vec_sub(a, &x_pred, &x_i);
+                let jdx = smallmat::mat_vec(a, &jac, &dx);
+                [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])]
+            };
+            let mut kr = [zero; STATE_DIM];
+            for (kr_st, k_row) in kr.iter_mut().zip(&k) {
+                let t = a.mul(k_row[0], resid[0]);
+                *kr_st = a.fma(k_row[1], resid[1], t);
+            }
             let x_next = smallmat::vec_add(a, &x_pred, &kr);
             // The angle step decides whether another pass is worth it;
             // the last pass the cap allows needs no decision.
@@ -672,11 +690,11 @@ where
             self.x[4] = zero;
         }
         if !skip.iter().all(|s| *s) {
-            // Rank-2 Joseph-form covariance update at the final
+            // Joseph-form covariance update at the final
             // linearization, upper triangle mirrored (keeps P exactly
             // symmetric for the next update's transposition shortcut).
             let p_prior = self.p;
-            self.p = smallmat::joseph_update_sym(a, &p_prior, &k_fin, &jac_fin, r_t);
+            self.p = joseph_structured(a, &p_prior, &k_fin, &jac_fin, r_t, estimate_bias);
             for lane in 0..L {
                 if skip[lane] {
                     for row in 0..STATE_DIM {

@@ -82,8 +82,9 @@
 //!   ([`report::VehicleSummary`]) the suite matrix and the fleet both
 //!   emit, plus the streaming RMS accumulator behind it;
 //! * [`smallmat`] — the substrate-generic small-matrix kernels the
-//!   IEKF runs on (products, the closed-form 2x2 SPD inverse, the
-//!   packed Joseph update, the Cholesky check);
+//!   IEKF runs on (vector arithmetic, the closed-form 2x2 SPD inverse,
+//!   the Cholesky check) and, for tests, the dense kernels the
+//!   structured ones in [`filter`] are pinned against;
 //! * [`system`] — the full Figure-2 system simulation: sensors, CAN,
 //!   bridge, UARTs, reconstruction, fusion (the IEKF on Softfloat,
 //!   priced in Sabre cycles), the Sabre soft core publishing to its

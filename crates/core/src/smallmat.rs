@@ -1,16 +1,17 @@
 //! Shared small-matrix kernels over an [`Arith`] substrate.
 //!
-//! Every small-matrix loop the IEKF ([`crate::lanes::LaneIekf`])
-//! needs — products, the closed-form 2x2 SPD inverse, the packed
-//! Joseph update, Cholesky health checks — lives here once, generic
-//! over the number system.
+//! The generic small-matrix loops the IEKF ([`crate::lanes::LaneIekf`])
+//! needs — vector arithmetic, the closed-form 2x2 SPD inverse, Cholesky
+//! health checks — live here once, generic over the number system. The
+//! kernels written for the measurement Jacobian's shape (`J P` and `S`,
+//! the Joseph update) live in [`crate::filter`].
 //!
 //! The dense kernels those replace (`inverse`, `joseph_update`,
-//! `innovation_cov` and the helpers only they use), and the
-//! `inverse2_sym` wrapper the filter runs only in its pivoted per-lane
-//! form, compile only under `cfg(test)` or the `test-support` feature:
-//! they are the references the structured kernels are pinned against,
-//! not part of the filter.
+//! `joseph_update_sym`, `innovation_cov` and the helpers only they
+//! use), and the `inverse2_sym` wrapper the filter runs only in its
+//! pivoted per-lane form, compile only under `cfg(test)` or the
+//! `test-support` feature: they are the references the structured
+//! kernels are pinned against, not part of the filter.
 //!
 //! The accumulation order of every kernel deliberately mirrors the
 //! `mathx` dense operators (accumulator starts at zero, innermost index
@@ -31,6 +32,7 @@ pub fn zeros<A: Arith, const R: usize, const C: usize>(a: &mut A) -> [[A::T; C];
 }
 
 /// The `N x N` identity in the substrate.
+#[cfg(any(test, feature = "test-support"))]
 pub fn identity<A: Arith, const N: usize>(a: &mut A) -> [[A::T; N]; N] {
     let zero = a.num(0.0);
     let one = a.num(1.0);
@@ -42,6 +44,7 @@ pub fn identity<A: Arith, const N: usize>(a: &mut A) -> [[A::T; N]; N] {
 }
 
 /// Transpose (pure data movement, no arithmetic charged).
+#[cfg(any(test, feature = "test-support"))]
 pub fn transpose<A: Arith, const R: usize, const C: usize>(
     a: &mut A,
     m: &[[A::T; C]; R],
@@ -56,6 +59,7 @@ pub fn transpose<A: Arith, const R: usize, const C: usize>(
 }
 
 /// Matrix product `X * Y`.
+#[cfg(any(test, feature = "test-support"))]
 pub fn mul<A: Arith, const R: usize, const C: usize, const K: usize>(
     a: &mut A,
     x: &[[A::T; C]; R],
@@ -115,6 +119,7 @@ pub fn mat_vec<A: Arith, const R: usize, const C: usize>(
 }
 
 /// Transposed matrix-vector product `M^T * v`.
+#[cfg(any(test, feature = "test-support"))]
 pub fn mat_tvec<A: Arith, const R: usize, const C: usize>(
     a: &mut A,
     m: &[[A::T; C]; R],
@@ -149,6 +154,7 @@ pub fn add<A: Arith, const R: usize, const C: usize>(
 }
 
 /// Element-wise difference `X - Y`.
+#[cfg(any(test, feature = "test-support"))]
 pub fn sub<A: Arith, const R: usize, const C: usize>(
     a: &mut A,
     x: &[[A::T; C]; R],
@@ -431,7 +437,10 @@ pub(crate) fn inverse2_sym_pivoted<A: Arith>(
 /// upper-triangle entry, so the output tracks the dense
 /// `joseph_update` within the re-symmetrization average (~1 ulp scaled
 /// to the covariance magnitude — pinned by proptest in
-/// `tests/arith_full_filter.rs`).
+/// `tests/arith_full_filter.rs`). The dense reference for
+/// [`crate::filter::joseph_structured`], which specializes it to the
+/// measurement Jacobian's known zeros and ones.
+#[cfg(any(test, feature = "test-support"))]
 pub fn joseph_update_sym<A: Arith, const N: usize, const M: usize>(
     a: &mut A,
     p: &[[A::T; N]; N],

@@ -40,7 +40,9 @@ use proptest::prelude::*;
 use sensor_fusion_fpga::fusion::arith::{
     Arith, F32Arith, F64Arith, LaneArith, OpCounts, QArith, SoftArith,
 };
-use sensor_fusion_fpga::fusion::filter::{jp_and_s, FilterConfig, GenericBoresightFilter};
+use sensor_fusion_fpga::fusion::filter::{
+    joseph_structured, jp_and_s, FilterConfig, GenericBoresightFilter,
+};
 use sensor_fusion_fpga::fusion::model::{self, reference};
 use sensor_fusion_fpga::fusion::scenario::RunResult;
 use sensor_fusion_fpga::fusion::smallmat;
@@ -492,18 +494,21 @@ struct KernelCase {
     x: [[f64; 4]; 5],
     f_b: [[f64; 3]; 4],
     p: [[[f64; 4]; 5]; 5],
+    k: [[[f64; 4]; 2]; 5],
     r: f64,
     estimate_bias: bool,
 }
 
 /// Builds a case from flat draws: angles within the trust region (an
 /// angle whose `zero_mask` bit is set is exactly zero in every lane),
-/// gravity-dominated forces and a symmetric `P = M M^T + d I`.
+/// gravity-dominated forces, a symmetric `P = M M^T + d I` and a gain.
+#[allow(clippy::too_many_arguments)]
 fn kernel_case(
     angles: &[f64],
     biases: &[f64],
     forces: &[f64],
     m: &[f64],
+    gains: &[f64],
     zero_mask: u8,
     r: f64,
     estimate_bias: bool,
@@ -537,18 +542,22 @@ fn kernel_case(
             }
         }
     }
+    let k = std::array::from_fn(|row| {
+        std::array::from_fn(|col| std::array::from_fn(|lane| gains[lane * 10 + row * 2 + col]))
+    });
     KernelCase {
         x,
         f_b,
         p,
+        k,
         r,
         estimate_bias,
     }
 }
 
-/// Runs the structured model + Jacobian and `J P`/`S` kernels and their
-/// dense references on `A`, requiring identical bits and identical
-/// saturation counts.
+/// Runs the structured model + Jacobian, `J P`/`S` and Joseph kernels
+/// and their dense references on `A`, requiring identical bits and
+/// identical saturation counts.
 fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), TestCaseError> {
     let mut a = A::default();
     let x = case.x.map(|v| a.lift(v));
@@ -557,11 +566,13 @@ fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), 
         a.lift(lanes)
     });
     let p = case.p.map(|row| row.map(|v| a.lift(v)));
+    let k = case.k.map(|row| row.map(|v| a.lift(v)));
     let r = a.lift([case.r; 4]);
     let mut dense = a.clone();
 
     let (h, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, case.estimate_bias);
     let (jp, s) = jp_and_s(&mut a, &jac, &p, r, case.estimate_bias);
+    let joseph = joseph_structured(&mut a, &p, &k, &jac, r, case.estimate_bias);
 
     let h_ref = reference::h_generic(&mut dense, &x, &f_b);
     let mut jac_ref = reference::jacobian_generic(&mut dense, &x, &f_b);
@@ -572,6 +583,7 @@ fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), 
     }
     let jp_ref = smallmat::mul(&mut dense, &jac_ref, &p);
     let s_ref = smallmat::innovation_cov(&mut dense, &jp_ref, &jac_ref, r);
+    let joseph_ref = smallmat::joseph_update_sym(&mut dense, &p, &k, &jac_ref, r);
 
     let name = a.name();
     for row in 0..2 {
@@ -611,6 +623,18 @@ fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), 
             );
         }
     }
+    for row in 0..5 {
+        for col in 0..5 {
+            prop_assert_eq!(
+                a.bits(joseph[row][col]),
+                dense.bits(joseph_ref[row][col]),
+                "{} P'[{}][{}]",
+                name,
+                row,
+                col
+            );
+        }
+    }
     prop_assert_eq!(a.saturations(), dense.saturations(), "{} saturations", name);
     Ok(())
 }
@@ -622,7 +646,8 @@ proptest! {
     /// dense formulation they replace — model + Jacobian against
     /// `h_generic` + `jacobian_generic` (bias columns masked when bias
     /// estimation is off), `J P`/`S` against `smallmat::mul` +
-    /// `innovation_cov` — on every substrate the filter runs on,
+    /// `innovation_cov`, the Joseph update against
+    /// `joseph_update_sym` — on every substrate the filter runs on,
     /// including exactly-zero angles, where the factors' own zeros and
     /// ones meet the dropped terms.
     #[test]
@@ -631,11 +656,12 @@ proptest! {
         biases in prop::collection::vec(-0.3_f64..0.3, 8),
         forces in prop::collection::vec(-6.0_f64..6.0, 12),
         m in prop::collection::vec(-0.05_f64..0.05, 100),
+        gains in prop::collection::vec(-0.5_f64..0.5, 40),
         zero_mask in 0u8..8,
         r in 1e-6_f64..1e-3,
         estimate_bias in any::<bool>(),
     ) {
-        let case = kernel_case(&angles, &biases, &forces, &m, zero_mask, r, estimate_bias);
+        let case = kernel_case(&angles, &biases, &forces, &m, &gains, zero_mask, r, estimate_bias);
         check_structured_kernels::<F64Arith>(&case)?;
         check_structured_kernels::<F32Arith>(&case)?;
         check_structured_kernels::<QArith<16>>(&case)?;
@@ -649,20 +675,24 @@ proptest! {
 /// multiply-add as one op; the `f64` ledger counts its `mul` and `add`.
 #[test]
 fn structured_kernel_op_counts_are_pinned() {
-    fn ops<A: Arith + Default>(estimate_bias: bool) -> (OpCounts, OpCounts) {
+    fn ops<A: Arith + Default>(estimate_bias: bool) -> (OpCounts, OpCounts, OpCounts) {
         let mut a = A::default();
         let x = [0.03, -0.02, 0.05, 0.01, -0.02].map(|v| a.num(v));
         let f_b = [0.8, -0.4, STANDARD_GRAVITY].map(|v| a.num(v));
         let p: [[A::T; 5]; 5] = std::array::from_fn(|row| {
             std::array::from_fn(|col| a.num(if row == col { 1e-3 } else { 1e-5 }))
         });
+        let k: [[A::T; 2]; 5] = std::array::from_fn(|row| [a.num(0.02 * row as f64), a.num(-0.01)]);
         let r = a.num(4.9e-5);
         let start = a.counts();
         let (_, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, estimate_bias);
         let model_ops = a.counts().since(&start);
         let start = a.counts();
         let _ = jp_and_s(&mut a, &jac, &p, r, estimate_bias);
-        (model_ops, a.counts().since(&start))
+        let jp_s_ops = a.counts().since(&start);
+        let start = a.counts();
+        let _ = joseph_structured(&mut a, &p, &k, &jac, r, estimate_bias);
+        (model_ops, jp_s_ops, a.counts().since(&start))
     }
     let model_q = OpCounts {
         trig: 3,
@@ -678,10 +708,30 @@ fn structured_kernel_op_counts_are_pinned() {
         add: 15,
         ..OpCounts::default()
     };
-    assert_eq!(ops::<QArith<16>>(true), (model_q, jp_s_q));
-    // Without bias states the selector columns drop their adds.
+    let joseph_q = OpCounts {
+        mul: 85,
+        fma: 185,
+        sub: 5,
+        neg: 20,
+        add: 15,
+        ..OpCounts::default()
+    };
+    assert_eq!(ops::<QArith<16>>(true), (model_q, jp_s_q, joseph_q));
+    // Without bias states the selector columns drop their adds, and the
+    // identity columns of I - K J drop their zero terms.
     let jp_s_q_no_bias = OpCounts { add: 2, ..jp_s_q };
-    assert_eq!(ops::<QArith<16>>(false), (model_q, jp_s_q_no_bias));
+    let joseph_q_no_bias = OpCounts {
+        mul: 85,
+        fma: 105,
+        sub: 3,
+        neg: 12,
+        add: 34,
+        ..OpCounts::default()
+    };
+    assert_eq!(
+        ops::<QArith<16>>(false),
+        (model_q, jp_s_q_no_bias, joseph_q_no_bias)
+    );
     let model_f64 = OpCounts {
         trig: 3,
         neg: 5,
@@ -694,5 +744,12 @@ fn structured_kernel_op_counts_are_pinned() {
         add: 35,
         ..OpCounts::default()
     };
-    assert_eq!(ops::<F64Arith>(true), (model_f64, jp_s_f64));
+    let joseph_f64 = OpCounts {
+        mul: 270,
+        sub: 5,
+        neg: 20,
+        add: 200,
+        ..OpCounts::default()
+    };
+    assert_eq!(ops::<F64Arith>(true), (model_f64, jp_s_f64, joseph_f64));
 }
