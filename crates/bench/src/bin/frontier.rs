@@ -1,5 +1,5 @@
-//! The accuracy-vs-cycles-vs-throughput frontier: every arithmetic
-//! substrate × lane width, per catalog scenario.
+//! The accuracy-vs-cycles frontier: every arithmetic substrate × lane
+//! width, per catalog scenario.
 //!
 //! The paper's co-design claim is that the arithmetic substrate is a
 //! *choice* with an accuracy price and a cycle price; this binary
@@ -15,8 +15,10 @@
 //!
 //! Per cell: tracking RMS error vs truth (second half of the stream,
 //! every sample), modelled cycles/sample from the substrate's ledger
-//! (0 when the substrate has no cycle model), measured lane-samples/sec
-//! wall throughput, and saturation counts for the fixed-point family.
+//! (0 when the substrate has no cycle model), and saturation and gate
+//! counts. Every cell figure is deterministic, so a run repeats the
+//! committed snapshot exactly unless the filter changed; wall clock is
+//! measured only by the `--gate-simd` head-to-head.
 //!
 //! Substrates: counted `f64` lanes (the autovectorized baseline the
 //! explicit-SIMD rows must beat), explicit-SIMD `f64`
@@ -27,9 +29,11 @@
 //! below the problem).
 //!
 //! Results land in `bench_out/BENCH_frontier.json` (committed snapshot
-//! in `bench_baselines/`). Run with `cargo run --release -p bench_suite
-//! --bin frontier [steps] [target_lane_samples] [--gate-simd]`
-//! (defaults 4000 and 20000). The run always fails on non-finite cells;
+//! in `bench_baselines/`; each run prints its single-lane cells' RMS
+//! and cycles/sample against it). Run with `cargo run --release -p
+//! bench_suite --bin frontier [steps] [target_lane_samples]
+//! [--gate-simd]` (defaults 4000 and 20000; `target_lane_samples` sizes
+//! the gate's timed passes). The run always fails on non-finite cells;
 //! `--gate-simd` additionally fails unless explicit-SIMD f64 beats the
 //! counted lane baseline's samples/sec head-to-head at widths 4 and 8
 //! (x16 is measured and printed but not asserted — see the gate code).
@@ -129,38 +133,26 @@ struct Cell {
     scenario: String,
     substrate: &'static str,
     lanes: usize,
-    reps: usize,
     rms_deg: f64,
     cycles_per_sample: f64,
-    samples_per_sec: f64,
     saturations: u64,
     updates: u64,
     rejected: u64,
-    wall_s: f64,
 }
 
-/// Timed passes per cell; samples/sec is taken from the fastest pass
-/// so a scheduler hiccup on one pass can't invert a close comparison.
-const PASSES: usize = 3;
-
-/// Replays the captured stream into a width-`L` lane filter over
-/// substrate `A`. The first replay is the scoring pass (RMS, gate
-/// counters, the cycle ledger); timing then takes the best of
-/// [`PASSES`] passes of `ceil(target / (n*L))` replays each, so fast
-/// cells accumulate enough lane-samples for a stable wall clock.
-fn run_cell<A, const L: usize>(stream: &Stream, target: usize) -> Cell
+/// Replays the captured stream once into a width-`L` lane filter over
+/// substrate `A`, scoring RMS, gate counters and the cycle ledger.
+fn run_cell<A, const L: usize>(stream: &Stream) -> Cell
 where
     A: LaneSpec<L> + Clone + Default,
 {
     let n = stream.samples.len();
-    let reps = (target / (n * L)).max(1);
     let half = n / 2;
     let mut filter: LaneIekf<A, L> = LaneIekf::new(stream.filter);
     let substrate = filter.arith().inner().name();
     let mut rms = RunningRms::default();
     let (mut updates0, mut rejected0) = (0u64, 0u64);
 
-    // Scoring pass: accuracy and the modelled-cost ledger.
     for (i, s) in stream.samples.iter().enumerate() {
         filter.predict(s.dt);
         let f_b = {
@@ -185,31 +177,16 @@ where
             rms.push([rad_to_deg(e.roll), rad_to_deg(e.pitch), rad_to_deg(e.yaw)]);
         }
     }
-    let cycles0 = filter.arith().cycles();
-    let sats0 = filter.arith().saturations();
-
-    // Timed passes over the converged state: same measurements, same
-    // gate decisions, pure datapath throughput.
-    let mut wall_s = f64::INFINITY;
-    for _ in 0..PASSES {
-        let start = Instant::now();
-        replay_pass(&mut filter, stream, reps);
-        wall_s = wall_s.min(start.elapsed().as_secs_f64().max(1e-9));
-    }
-    std::hint::black_box(filter.angles(0));
     Cell {
         label: format!("{}/{}x{}", stream.scenario, substrate, L),
         scenario: stream.scenario.clone(),
         substrate,
         lanes: L,
-        reps,
         rms_deg: rms.rms_deg(),
-        cycles_per_sample: cycles0 as f64 / (n * L) as f64,
-        samples_per_sec: (n * L * reps) as f64 / wall_s,
-        saturations: sats0,
+        cycles_per_sample: filter.arith().cycles() as f64 / (n * L) as f64,
+        saturations: filter.arith().saturations(),
         updates: updates0,
         rejected: rejected0,
-        wall_s,
     }
 }
 
@@ -267,15 +244,15 @@ fn gate_pair<const L: usize>(stream: &Stream, target: usize) -> (f64, f64) {
 const GATE_PASSES: usize = 9;
 
 /// Sweeps one substrate across every lane width.
-fn sweep<A>(stream: &Stream, target: usize, cells: &mut Vec<Cell>)
+fn sweep<A>(stream: &Stream, cells: &mut Vec<Cell>)
 where
     A: LaneSpec<1> + LaneSpec<2> + LaneSpec<4> + LaneSpec<8> + LaneSpec<16> + Clone + Default,
 {
-    cells.push(run_cell::<A, 1>(stream, target));
-    cells.push(run_cell::<A, 2>(stream, target));
-    cells.push(run_cell::<A, 4>(stream, target));
-    cells.push(run_cell::<A, 8>(stream, target));
-    cells.push(run_cell::<A, 16>(stream, target));
+    cells.push(run_cell::<A, 1>(stream));
+    cells.push(run_cell::<A, 2>(stream));
+    cells.push(run_cell::<A, 4>(stream));
+    cells.push(run_cell::<A, 8>(stream));
+    cells.push(run_cell::<A, 16>(stream));
 }
 
 fn main() {
@@ -300,13 +277,13 @@ fn main() {
 
     let mut cells: Vec<Cell> = Vec::new();
     for stream in &streams {
-        sweep::<F64Arith>(stream, target, &mut cells);
-        sweep::<SimdF64>(stream, target, &mut cells);
-        sweep::<F32Arith>(stream, target, &mut cells);
-        sweep::<SoftArith>(stream, target, &mut cells);
-        sweep::<QArith<16>>(stream, target, &mut cells);
-        sweep::<QArith<24>>(stream, target, &mut cells);
-        sweep::<QArith<28>>(stream, target, &mut cells);
+        sweep::<F64Arith>(stream, &mut cells);
+        sweep::<SimdF64>(stream, &mut cells);
+        sweep::<F32Arith>(stream, &mut cells);
+        sweep::<SoftArith>(stream, &mut cells);
+        sweep::<QArith<16>>(stream, &mut cells);
+        sweep::<QArith<24>>(stream, &mut cells);
+        sweep::<QArith<28>>(stream, &mut cells);
     }
 
     for scenario in SCENARIOS {
@@ -317,7 +294,6 @@ fn main() {
                 "lanes",
                 "rms (deg)",
                 "cycles/sample",
-                "samples/s",
                 "saturations",
                 "accepted",
             ],
@@ -330,7 +306,6 @@ fn main() {
                         format!("{}", c.lanes),
                         format!("{:.4}", c.rms_deg),
                         format!("{:.0}", c.cycles_per_sample),
-                        format!("{:.0}", c.samples_per_sec),
                         format!("{}", c.saturations),
                         format!("{}", c.updates),
                     ]
@@ -343,7 +318,6 @@ fn main() {
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("frontier".into())),
         ("steps".into(), Json::Int(steps as u64)),
-        ("target_lane_samples".into(), Json::Int(target as u64)),
         (
             "scenarios".into(),
             Json::Arr(SCENARIOS.iter().map(|s| Json::Str((*s).into())).collect()),
@@ -363,14 +337,11 @@ fn main() {
                             ("scenario".into(), Json::Str(c.scenario.clone())),
                             ("substrate".into(), Json::Str(c.substrate.into())),
                             ("lanes".into(), Json::Int(c.lanes as u64)),
-                            ("reps".into(), Json::Int(c.reps as u64)),
                             ("rms_deg".into(), Json::Num(c.rms_deg)),
                             ("cycles_per_sample".into(), Json::Num(c.cycles_per_sample)),
-                            ("samples_per_sec".into(), Json::Num(c.samples_per_sec)),
                             ("saturations".into(), Json::Int(c.saturations)),
                             ("updates".into(), Json::Int(c.updates)),
                             ("rejected".into(), Json::Int(c.rejected)),
-                            ("wall_s".into(), Json::Num(c.wall_s)),
                         ])
                     })
                     .collect(),
@@ -381,31 +352,33 @@ fn main() {
     println!("wrote {}", path.display());
 
     // --- Baseline comparison ----------------------------------------
+    // Deterministic figures only: RMS and, where the substrate has a
+    // cycle model, cycles/sample repeat exactly on unchanged code. The
+    // single-lane cells stand for every width (identical lanes cost
+    // exactly `L` times one lane).
     if let Some(baseline) = load_baseline("BENCH_frontier.json") {
-        let labels: Vec<String> = cells
+        let pairs: Vec<(&str, &str)> = cells
             .iter()
-            .filter(|c| c.lanes == 8 || (c.lanes == 1 && c.substrate == "softfloat/f64"))
-            .map(|c| c.label.clone())
-            .collect();
-        let pairs: Vec<(&str, &str)> = labels
-            .iter()
-            .map(|l| (l.as_str(), "samples_per_sec"))
+            .filter(|c| c.lanes == 1)
+            .flat_map(|c| {
+                let cycles = (c.cycles_per_sample > 0.0).then_some("cycles_per_sample");
+                std::iter::once("rms_deg")
+                    .chain(cycles)
+                    .map(|field| (c.label.as_str(), field))
+            })
             .collect();
         let deltas = compare_labeled_to_baseline(&baseline, &doc, "cells", &pairs);
-        print_baseline_deltas("vs committed bench_baselines/ (samples/sec)", &deltas);
+        print_baseline_deltas("vs committed bench_baselines/ (x1 cells)", &deltas);
     }
 
     // --- Non-finite gate (always on: the CI smoke contract) ---------
     for c in &cells {
         assert!(
-            c.rms_deg.is_finite()
-                && c.cycles_per_sample.is_finite()
-                && c.samples_per_sec.is_finite(),
-            "non-finite frontier cell {}: rms={} cycles={} samples/s={}",
+            c.rms_deg.is_finite() && c.cycles_per_sample.is_finite(),
+            "non-finite frontier cell {}: rms={} cycles={}",
             c.label,
             c.rms_deg,
-            c.cycles_per_sample,
-            c.samples_per_sec
+            c.cycles_per_sample
         );
     }
     println!("non-finite gate passed: {} cells all finite", cells.len());

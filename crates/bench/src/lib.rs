@@ -8,7 +8,7 @@
 use boresight::adaptive::{FrontierPoint, SubstrateId};
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Command-line arguments shared by the bench binaries: positional
 /// values plus the `--workers N` worker-pool size (`0`, the default,
@@ -80,12 +80,23 @@ impl BenchArgs {
     }
 }
 
+/// The workspace root, two levels above this crate's manifest.
+///
+/// Cargo sets `CARGO_MANIFEST_DIR` when it runs a binary or test, so it
+/// is read at run time first: a checkout copied together with its
+/// `target/` reuses binaries compiled in the original checkout, and the
+/// compile-time path would point them back at it. Run directly, without
+/// cargo, the compile-time path is the fallback.
+fn workspace_root() -> PathBuf {
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("../..")
+}
+
 /// Output directory for generated CSV series (`bench_out/` at the
 /// workspace root).
 pub fn out_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("bench_out");
+    let dir = workspace_root().join("bench_out");
     fs::create_dir_all(&dir).expect("create bench_out");
     dir
 }
@@ -134,9 +145,7 @@ pub fn write_json(name: &str, value: &Json) -> PathBuf {
 /// `bench_out/` artifacts are diffed against (`bench_baselines/` at
 /// the workspace root).
 pub fn baseline_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("bench_baselines")
+    workspace_root().join("bench_baselines")
 }
 
 /// Loads and parses a committed baseline report, if present.
@@ -366,7 +375,7 @@ mod tests {
         let simd8 = frontier
             .find_labeled("cells", "paper-static/simd/f64x8")
             .expect("explicit-SIMD x8 cell");
-        assert!(simd8.lookup("samples_per_sec").unwrap().as_f64().unwrap() > 0.0);
+        assert!(simd8.lookup("updates").unwrap().as_f64().unwrap() > 0.0);
         assert!(simd8
             .lookup("rms_deg")
             .unwrap()

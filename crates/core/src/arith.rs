@@ -163,7 +163,7 @@ pub struct PhaseLedger {
     pub predict: PhaseCost,
     /// First-pass innovation, its sigma and the gate decision.
     pub gate: PhaseCost,
-    /// IEKF iterations, the Joseph covariance update and the trust
+    /// IEKF iterations, the covariance update and the trust
     /// region — only charged for accepted samples.
     pub update: PhaseCost,
 }
@@ -197,6 +197,15 @@ impl PhaseLedger {
 pub trait Arith: Send {
     /// The scalar type.
     type T: Copy + std::fmt::Debug + Send;
+
+    /// `true` for fixed-point number systems. They round every result
+    /// to an absolute quantum, not to a fraction of its magnitude, so a
+    /// difference of nearly equal small values can cancel to zero or
+    /// below. The IEKF therefore keeps the Joseph-form covariance update
+    /// on them and takes the cheaper Kalman form `P - K (J P)` on
+    /// floating-point substrates (see [`crate::filter::kalman_structured`]).
+    /// A property of the number system, not an option.
+    const FIXED_POINT: bool = false;
 
     /// Converts from `f64`.
     fn num(&mut self, x: f64) -> Self::T;
@@ -755,6 +764,8 @@ fn isqrt_u64(n: u64) -> u64 {
 
 impl<const FRAC: u32> Arith for QArith<FRAC> {
     type T = Fixed<FRAC>;
+
+    const FIXED_POINT: bool = true;
 
     fn num(&mut self, x: f64) -> Fixed<FRAC> {
         Fixed::from_f64(x)

@@ -41,7 +41,7 @@
 use crate::adaptive::snapshot::{positive_quantum, FilterSnapshot, PACKED_COV};
 use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts, PhaseLedger};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
-use crate::filter::{joseph_structured, jp_and_s, FilterConfig, KalmanUpdate};
+use crate::filter::{joseph_structured, jp_and_s, kalman_structured, FilterConfig, KalmanUpdate};
 use crate::model::{self, State, StateCov, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
@@ -59,8 +59,10 @@ use std::ops::IndexMut;
 /// measurement update relinearizes the two-axis ACC model while the
 /// angle step can still move it (at most
 /// [`FilterConfig::iekf_iterations`] passes), solves the 2x2 innovation
-/// in closed form and updates the covariance in Joseph form —
-/// see [`crate::filter`] for the structure the hot path exploits.
+/// in closed form and updates the covariance in Kalman form on
+/// floating-point substrates and in Joseph form on fixed point (see
+/// [`Arith::FIXED_POINT`]) — see [`crate::filter`] for the structure the
+/// hot path exploits.
 /// Lanes that diverge in control flow (gate rejection, convergence,
 /// singular innovation) have their state writes masked, so each lane's
 /// result is bit-identical to its own width-1 run.
@@ -480,7 +482,11 @@ where
     /// The measurement update every entry point runs: the iterated EKF
     /// relinearizes the measurement around the improving estimate
     /// (Gauss-Newton on the MAP objective), then updates the covariance
-    /// in Joseph form at the final linearization point.
+    /// at the final linearization point: in Kalman form `P - K (J P)` on
+    /// floating-point substrates, in Joseph form on fixed point, whose
+    /// absolute rounding quantum can cancel `P - K (J P)` to zero or
+    /// below (the inner substrate's [`Arith::FIXED_POINT`] picks the form
+    /// at compile time).
     ///
     /// A lane takes another pass only while its last one moved the
     /// angles by at least `sqrt(0.02 sigma / g)` for its own current
@@ -499,11 +505,12 @@ where
     /// point *is* the prior, so its residual is `z - h` with no
     /// `J (x_pred - x_i)` term), the 2x2 innovation solved closed-form,
     /// `P J^T` read off `J P` by transposition (valid because `P` is
-    /// kept exactly symmetric) and the Joseph update over the
-    /// Jacobian's zeros and ones ([`joseph_structured`]). The gain,
-    /// `K · resid` and the Joseph update start every sum with a `mul`
-    /// and drop literal-zero terms, so they are bit-identical to their
-    /// dense formulation.
+    /// kept exactly symmetric) and the covariance update: the Kalman
+    /// form reuses the final pass's `J P` ([`kalman_structured`], 45 ops),
+    /// the Joseph form runs over the Jacobian's zeros and ones
+    /// ([`joseph_structured`]). The gain, `K · resid` and the Joseph
+    /// update start every sum with a `mul` and drop literal-zero terms,
+    /// so they are bit-identical to their dense formulation.
     ///
     /// `inactive` lanes are frozen from the start: they execute every
     /// instruction with writes masked (state, covariance, counters all
@@ -576,13 +583,15 @@ where
         let mut jac = jac0;
         let mut jp = jp0;
         let mut s = s0;
-        // Final per-lane linearization and gain for the Joseph update.
+        // Final per-lane linearization, `J P` and gain for the
+        // covariance update.
         let mut jac_fin = jac0;
+        let mut jp_fin = jp0;
         let mut k_fin = [[zero; MEAS_DIM]; STATE_DIM];
         // A frozen lane has finished iterating (converged, rejected,
-        // singular or inactive); its x/jac/k writes are masked from
-        // then on. When every lane is frozen the loop — and the Joseph
-        // update below — stop.
+        // singular or inactive); its x, J, J P and K writes are masked
+        // from then on. When every lane is frozen the loop — and the
+        // covariance update below — stop.
         let mut frozen: [bool; L] = std::array::from_fn(|lane| rejectd[lane] || inactive[lane]);
         for iter in 0..iterations {
             if frozen.iter().all(|f| *f) {
@@ -656,6 +665,7 @@ where
                 for row in 0..MEAS_DIM {
                     for col in 0..STATE_DIM {
                         jac_fin[row][col][lane] = jac[row][col][lane];
+                        jp_fin[row][col][lane] = jp[row][col][lane];
                     }
                 }
                 if let Some(step) = &step {
@@ -690,11 +700,15 @@ where
             self.x[4] = zero;
         }
         if !skip.iter().all(|s| *s) {
-            // Joseph-form covariance update at the final
-            // linearization, upper triangle mirrored (keeps P exactly
-            // symmetric for the next update's transposition shortcut).
+            // Covariance update at the final linearization, upper
+            // triangle mirrored (keeps P exactly symmetric for the next
+            // update's transposition shortcut).
             let p_prior = self.p;
-            self.p = joseph_structured(a, &p_prior, &k_fin, &jac_fin, r_t, estimate_bias);
+            self.p = if A::FIXED_POINT {
+                joseph_structured(a, &p_prior, &k_fin, &jac_fin, r_t, estimate_bias)
+            } else {
+                kalman_structured(a, &p_prior, &k_fin, &jp_fin)
+            };
             for lane in 0..L {
                 if skip[lane] {
                     for row in 0..STATE_DIM {
@@ -1066,7 +1080,7 @@ mod tests {
     #[test]
     fn whole_batch_rejection_is_a_no_op_like_the_scalar_early_return() {
         // Every lane takes the outlier on the same step: the lane
-        // filter skips the iterations and Joseph update entirely
+        // filter skips the iterations and covariance update entirely
         // (masked no-op), which must be indistinguishable per lane
         // from each scalar filter's gate early-return.
         assert_lockstep_parity::<3>(

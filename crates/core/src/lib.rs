@@ -12,8 +12,9 @@
 //! * [`model`] — the measurement model `z = S C_sb(e) f_b + b + v` and
 //!   its analytic Jacobian, in native `f64` and generically over any
 //!   [`arith::Arith`] number system;
-//! * [`lanes`] — the extended Kalman filter (iterated, Joseph-form
-//!   updates, innovation gating) over misalignment plus ACC bias,
+//! * [`lanes`] — the extended Kalman filter (iterated, Kalman-form
+//!   covariance updates on floating point and Joseph-form on fixed
+//!   point, innovation gating) over misalignment plus ACC bias,
 //!   written once for `L` lockstep lanes as [`LaneIekf`]; [`LaneBank`]
 //!   fuses several sensors against one IMU with it and returns their
 //!   relative alignment (the paper's multi-sensor extension);

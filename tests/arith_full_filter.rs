@@ -35,13 +35,29 @@
 //! determined of the three; the scenario runs, which converge, moved by
 //! at most 1.6e-5 rad (0.001 deg). No other test or bound changed
 //! with the rule.
+//!
+//! They were **re-pinned a third time** when floating-point substrates
+//! switched the covariance update from the Joseph form to the Kalman
+//! form `P - K (J P)`, which reuses the final pass's `J P`
+//! (`filter::kalman_structured`; fixed point keeps the Joseph form). That
+//! changes roundings only: every counter is unchanged, old -> new:
+//!
+//! | pin | updates | rejected | retunes |
+//! |---|---|---|---|
+//! | static scenario | 10 000 -> 10 000 | 0 -> 0 | 1 -> 1 |
+//! | dynamic scenario | 10 000 -> 10 000 | 0 -> 0 | 1 -> 1 |
+//! | filter-only trace | 1 097 -> 1 097 | 903 -> 903 | n/a |
+//!
+//! Final angle deltas (new - old, rad; roll, pitch, yaw): static
+//! (-1.8e-13, -1.2e-14, -5.7e-15), dynamic (-5.5e-14, -8.0e-15,
+//! +1.7e-15), filter-only trace (-3.9e-12, +4.2e-12, -8.1e-13).
 
 use proptest::prelude::*;
 use sensor_fusion_fpga::fusion::arith::{
     Arith, F32Arith, F64Arith, LaneArith, OpCounts, QArith, SoftArith,
 };
 use sensor_fusion_fpga::fusion::filter::{
-    joseph_structured, jp_and_s, FilterConfig, GenericBoresightFilter,
+    joseph_structured, jp_and_s, kalman_structured, FilterConfig, GenericBoresightFilter,
 };
 use sensor_fusion_fpga::fusion::model::{self, reference};
 use sensor_fusion_fpga::fusion::scenario::RunResult;
@@ -99,10 +115,10 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
     assert_run_matches(
         &result,
         &PinnedRun {
-            roll: 0x3fa1e27f09d74f55,
-            pitch: 0xbfaadc13f4629a73,
-            yaw: 0x3f9ab0ee647e9fb1,
-            sigma: [0x3f2c9b53ef8c0476, 0x3f2d8fda216c9620, 0x3ef9222bfcd99328],
+            roll: 0x3fa1e27f09d6ec36,
+            pitch: 0xbfaadc13f462a13a,
+            yaw: 0x3f9ab0ee647e9945,
+            sigma: [0x3f2c9b53efcb1e96, 0x3f2d8fda216e39dc, 0x3ef9222bfcdaa89f],
             updates: 10_000,
             exceed_rate: 0x3f5bda5119ce075f,
             final_sigma: 0x3f82a305532617c2,
@@ -110,10 +126,10 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
             residuals: 1_000,
             mid_residual: [
                 0x4039000000000000,
-                0xbf6faad73e65ee80,
-                0x3f95835a7f0171b7,
-                0xbf829b03ad5b3300,
-                0x3f9581bdaa288bae,
+                0xbf6faad73e683e00,
+                0x3f95835a7f017273,
+                0xbf829b03ad5a2d00,
+                0x3f9581bdaa288ee4,
             ],
         },
     );
@@ -131,10 +147,10 @@ fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
     assert_run_matches(
         &result,
         &PinnedRun {
-            roll: 0x3fad7738650d2cc1,
-            pitch: 0xbfa27c8595714cb4,
-            yaw: 0x3fa6223ad70a979a,
-            sigma: [0x3f5cefa618ee96b7, 0x3f5dd75c4d63acd7, 0x3f223e5d2efe1114],
+            roll: 0x3fad7738650d0dab,
+            pitch: 0xbfa27c859571512e,
+            yaw: 0x3fa6223ad70a9893,
+            sigma: [0x3f5cefa618eeaf18, 0x3f5dd75c4d63a174, 0x3f223e5d2efe4430],
             updates: 10_000,
             exceed_rate: 0x3f40624dd2f1a9fc,
             final_sigma: 0x3f93f7ced916872b,
@@ -142,10 +158,10 @@ fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
             residuals: 1_000,
             mid_residual: [
                 0x4039000000000000,
-                0x3f7bfc6000210c00,
-                0x3fadf51fb778fbda,
-                0xbf9432567ec1f320,
-                0x3fadf7e688311a22,
+                0x3f7bfc600020b400,
+                0x3fadf51fb778fbd8,
+                0xbf9432567ec1c0a0,
+                0x3fadf7e688311a36,
             ],
         },
     );
@@ -171,28 +187,28 @@ fn filter_trace_is_bit_identical_to_pre_refactor() {
         kf.update(z, f_b, t);
     }
     let expected_x: [u64; 5] = [
-        0x3fa05c5bc9724865,
-        0x3faaba253c368178,
-        0xbf9656aa29c3f5b1,
+        0x3fa05c5bc969a7bc,
+        0x3faaba253c3fd491,
+        0xbf9656aa29c78876,
         0x3fd3333333333333,
-        0xbfce55518ce219d6,
+        0xbfce55518ccdc158,
     ];
     let state = kf.state();
     for (i, bits) in expected_x.iter().enumerate() {
         assert_eq!(state[i].to_bits(), *bits, "x[{i}]");
     }
     let expected_p_diag: [u64; 5] = [
-        0x3ef5b2932dbb8a08,
-        0x3ef13d9133e437d7,
-        0x3e74acfc3ace0e52,
-        0x3f5a24cc123f82e0,
-        0x3f604cc51c774185,
+        0x3ef5b2932dbc6947,
+        0x3ef13d9133e474ff,
+        0x3e74acfc3acf3cee,
+        0x3f5a24cc123fe2c1,
+        0x3f604cc51c77f2a7,
     ];
     let p = kf.covariance();
     for (i, bits) in expected_p_diag.iter().enumerate() {
         assert_eq!(p[(i, i)].to_bits(), *bits, "p[{i}][{i}]");
     }
-    assert_eq!(p[(0, 4)].to_bits(), 0xbf2a982caec4916b, "p[0][4]");
+    assert_eq!(p[(0, 4)].to_bits(), 0xbf2a982caec5aaa5, "p[0][4]");
     assert_eq!(kf.update_count(), 1_097);
     assert_eq!(kf.rejected_count(), 903);
     assert!(kf.covariance_healthy());
@@ -670,30 +686,37 @@ proptest! {
     }
 }
 
+/// The op cost of one call of each structured kernel on `A`: the
+/// model + Jacobian, `J P`/`S`, the Joseph update and the Kalman update.
+fn kernel_ops<A: Arith + Default>(estimate_bias: bool) -> (OpCounts, OpCounts, OpCounts, OpCounts) {
+    let mut a = A::default();
+    let x = [0.03, -0.02, 0.05, 0.01, -0.02].map(|v| a.num(v));
+    let f_b = [0.8, -0.4, STANDARD_GRAVITY].map(|v| a.num(v));
+    let p: [[A::T; 5]; 5] = std::array::from_fn(|row| {
+        std::array::from_fn(|col| a.num(if row == col { 1e-3 } else { 1e-5 }))
+    });
+    let k: [[A::T; 2]; 5] = std::array::from_fn(|row| [a.num(0.02 * row as f64), a.num(-0.01)]);
+    let r = a.num(4.9e-5);
+    let start = a.counts();
+    let (_, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, estimate_bias);
+    let model_ops = a.counts().since(&start);
+    let start = a.counts();
+    let (jp, _) = jp_and_s(&mut a, &jac, &p, r, estimate_bias);
+    let jp_s_ops = a.counts().since(&start);
+    let start = a.counts();
+    let _ = joseph_structured(&mut a, &p, &k, &jac, r, estimate_bias);
+    let joseph_ops = a.counts().since(&start);
+    let start = a.counts();
+    let _ = kalman_structured(&mut a, &p, &k, &jp);
+    (model_ops, jp_s_ops, joseph_ops, a.counts().since(&start))
+}
+
 /// The op cost of one call of each structured kernel, pinned literally
 /// so an edit cannot silently regrow them. `QArith` counts a fused
-/// multiply-add as one op; the `f64` ledger counts its `mul` and `add`.
+/// multiply-add as one op; the `f64` and softfloat ledgers count its
+/// `mul` and `add`.
 #[test]
 fn structured_kernel_op_counts_are_pinned() {
-    fn ops<A: Arith + Default>(estimate_bias: bool) -> (OpCounts, OpCounts, OpCounts) {
-        let mut a = A::default();
-        let x = [0.03, -0.02, 0.05, 0.01, -0.02].map(|v| a.num(v));
-        let f_b = [0.8, -0.4, STANDARD_GRAVITY].map(|v| a.num(v));
-        let p: [[A::T; 5]; 5] = std::array::from_fn(|row| {
-            std::array::from_fn(|col| a.num(if row == col { 1e-3 } else { 1e-5 }))
-        });
-        let k: [[A::T; 2]; 5] = std::array::from_fn(|row| [a.num(0.02 * row as f64), a.num(-0.01)]);
-        let r = a.num(4.9e-5);
-        let start = a.counts();
-        let (_, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, estimate_bias);
-        let model_ops = a.counts().since(&start);
-        let start = a.counts();
-        let _ = jp_and_s(&mut a, &jac, &p, r, estimate_bias);
-        let jp_s_ops = a.counts().since(&start);
-        let start = a.counts();
-        let _ = joseph_structured(&mut a, &p, &k, &jac, r, estimate_bias);
-        (model_ops, jp_s_ops, a.counts().since(&start))
-    }
     let model_q = OpCounts {
         trig: 3,
         neg: 5,
@@ -716,7 +739,18 @@ fn structured_kernel_op_counts_are_pinned() {
         add: 15,
         ..OpCounts::default()
     };
-    assert_eq!(ops::<QArith<16>>(true), (model_q, jp_s_q, joseph_q));
+    // The Kalman form: one mul, fma and sub per unique entry, with or
+    // without bias states.
+    let kalman_q = OpCounts {
+        mul: 15,
+        fma: 15,
+        sub: 15,
+        ..OpCounts::default()
+    };
+    assert_eq!(
+        kernel_ops::<QArith<16>>(true),
+        (model_q, jp_s_q, joseph_q, kalman_q)
+    );
     // Without bias states the selector columns drop their adds, and the
     // identity columns of I - K J drop their zero terms.
     let jp_s_q_no_bias = OpCounts { add: 2, ..jp_s_q };
@@ -729,8 +763,8 @@ fn structured_kernel_op_counts_are_pinned() {
         ..OpCounts::default()
     };
     assert_eq!(
-        ops::<QArith<16>>(false),
-        (model_q, jp_s_q_no_bias, joseph_q_no_bias)
+        kernel_ops::<QArith<16>>(false),
+        (model_q, jp_s_q_no_bias, joseph_q_no_bias, kalman_q)
     );
     let model_f64 = OpCounts {
         trig: 3,
@@ -751,5 +785,110 @@ fn structured_kernel_op_counts_are_pinned() {
         add: 200,
         ..OpCounts::default()
     };
-    assert_eq!(ops::<F64Arith>(true), (model_f64, jp_s_f64, joseph_f64));
+    let kalman_f64 = OpCounts {
+        mul: 30,
+        add: 15,
+        sub: 15,
+        ..OpCounts::default()
+    };
+    let float_row = (model_f64, jp_s_f64, joseph_f64, kalman_f64);
+    assert_eq!(kernel_ops::<F64Arith>(true), float_row);
+    assert_eq!(kernel_ops::<SoftArith>(true), float_row);
+}
+
+/// The Kalman kernel computes `P - K (J P)` on and above the diagonal
+/// and mirrors it: the result is exactly symmetric, equals the
+/// definition evaluated in host `f64` (first product rounded, second
+/// fused as a multiply and an add, then the subtraction), and the
+/// softfloat kernel returns the same bits as the native one.
+fn check_kalman_kernel(m: &[f64], kv: &[f64], jv: &[f64]) -> Result<(), TestCaseError> {
+    let p: [[f64; 5]; 5] = std::array::from_fn(|row| {
+        std::array::from_fn(|col| {
+            let mut acc = if row == col { 1e-7 } else { 0.0 };
+            for k in 0..5 {
+                acc += m[row * 5 + k] * m[col * 5 + k];
+            }
+            acc
+        })
+    });
+    let k: [[f64; 2]; 5] = std::array::from_fn(|i| [kv[i * 2], kv[i * 2 + 1]]);
+    let jp: [[f64; 5]; 2] = std::array::from_fn(|i| std::array::from_fn(|j| jv[i * 5 + j]));
+    let native = kalman_structured(&mut F64Arith::default(), &p, &k, &jp);
+    let mut soft = SoftArith::default();
+    let p_s = p.map(|row| row.map(|v| soft.num(v)));
+    let k_s = k.map(|row| row.map(|v| soft.num(v)));
+    let jp_s = jp.map(|row| row.map(|v| soft.num(v)));
+    let emulated = kalman_structured(&mut soft, &p_s, &k_s, &jp_s);
+    for row in 0..5 {
+        for col in 0..5 {
+            let v = native[row][col];
+            prop_assert_eq!(
+                v.to_bits(),
+                native[col][row].to_bits(),
+                "P'[{}][{}] symmetric",
+                row,
+                col
+            );
+            let (i, j) = (row.min(col), row.max(col));
+            let definition = p[i][j] - (k[i][0] * jp[0][j] + k[i][1] * jp[1][j]);
+            prop_assert_eq!(
+                v.to_bits(),
+                definition.to_bits(),
+                "P'[{}][{}] definition",
+                row,
+                col
+            );
+            prop_assert_eq!(
+                emulated[row][col].to_f64().to_bits(),
+                v.to_bits(),
+                "P'[{}][{}] softfloat",
+                row,
+                col
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn kalman_kernel_is_symmetric_and_softfloat_matches_f64_bitwise(
+        m in prop::collection::vec(-0.05_f64..0.05, 25),
+        kv in prop::collection::vec(-0.5_f64..0.5, 10),
+        jv in prop::collection::vec(-1e-3_f64..1e-3, 10),
+    ) {
+        check_kalman_kernel(&m, &kv, &jv)?;
+    }
+}
+
+/// The covariance form belongs to the number system: one accepted
+/// single-pass update charges the Kalman kernel on `F64Arith` and the
+/// Joseph kernel on `QArith<16>`, on top of the same pass (the solve,
+/// the gain, the state step and the trust-region test).
+#[test]
+fn accepted_update_charges_the_covariance_kernel_of_its_number_system() {
+    fn update_ops<A: Arith + Default>() -> OpCounts {
+        let mut cfg = FilterConfig::paper_static();
+        cfg.iekf_iterations = 1;
+        let mut kf: GenericBoresightFilter<A> = GenericBoresightFilter::new(cfg);
+        kf.predict(0.005);
+        let f_b = Vec3::new([0.8, -0.4, STANDARD_GRAVITY]);
+        assert!(kf.update(Vec2::new([0.801, -0.402]), f_b, 0.005).accepted);
+        kf.phase_ledger().update.ops
+    }
+    let (_, _, _, kalman_f64) = kernel_ops::<F64Arith>(true);
+    let (_, _, joseph_q, _) = kernel_ops::<QArith<16>>(true);
+    let pass_f64 = update_ops::<F64Arith>().since(&kalman_f64);
+    let pass_q = update_ops::<QArith<16>>().since(&joseph_q);
+    // `QArith` counts a fused multiply-add as one op, `f64` as a `mul`
+    // and an `add`.
+    let pass_q_split = OpCounts {
+        mul: pass_q.mul + pass_q.fma,
+        add: pass_q.add + pass_q.fma,
+        fma: 0,
+        ..pass_q
+    };
+    assert_eq!(pass_f64, pass_q_split);
 }

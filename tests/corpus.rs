@@ -15,10 +15,16 @@ use sensor_fusion_fpga::fusion::json::Json;
 use sensor_fusion_fpga::fusion::oracle::FusionOracle;
 use sensor_fusion_fpga::fusion::replay::{replay_spec_session, Recording};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+/// `corpus/` under the package root. `CARGO_MANIFEST_DIR` is read at
+/// run time first (cargo sets it when it runs the test), so a test
+/// binary reused in a copied checkout reads that checkout's corpus;
+/// the compile-time path is the fallback.
 fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("corpus")
 }
 
 fn discover() -> Vec<(CorpusEntry, Recording)> {
