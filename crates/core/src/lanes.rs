@@ -42,7 +42,7 @@ use crate::adaptive::snapshot::{positive_quantum, FilterSnapshot, PACKED_COV};
 use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts, PhaseLedger};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
 use crate::filter::{joseph_structured, jp_and_s, kalman_structured, FilterConfig, KalmanUpdate};
-use crate::model::{self, State, StateCov, MEAS_DIM, STATE_DIM};
+use crate::model::{self, Factors, State, StateCov, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
 use crate::smallmat;
@@ -62,7 +62,12 @@ use std::ops::IndexMut;
 /// in closed form and updates the covariance in Kalman form on
 /// floating-point substrates and in Joseph form on fixed point (see
 /// [`Arith::FIXED_POINT`]) — see [`crate::filter`] for the structure the
-/// hot path exploits.
+/// hot path exploits. On floating point each lane also keeps its last
+/// linearization (the angles and their [`Factors`]) across samples and
+/// reuses it while the prior stays within the same step tolerance, so
+/// a converged lane evaluates no trig at all. Its innovation is then the
+/// model at that linearization extrapolated to the prior (see
+/// [`KalmanUpdate::innovation`]).
 /// Lanes that diverge in control flow (gate rejection, convergence,
 /// singular innovation) have their state writes masked, so each lane's
 /// result is bit-identical to its own width-1 run.
@@ -80,6 +85,10 @@ where
     config: FilterConfig,
     arith: LA,
     sigmas: [f64; L],
+    /// Per lane, from its sigma whenever that changes: `sigma^2` (R's
+    /// diagonal) and the IEKF step tolerance `sqrt(0.02 sigma / g)`.
+    r_t: LA::T,
+    step_tol: LA::T,
     x: [LA::T; STATE_DIM],
     /// Kept **exactly symmetric** (bitwise) per lane: the update writes
     /// only unique entries and mirrors them, prediction and the trust
@@ -89,6 +98,30 @@ where
     updates: [u64; L],
     rejected: [u64; L],
     phases: PhaseLedger,
+    /// Each lane's last linearization, read only where `lin_valid`.
+    lin: Linearization<LA::T>,
+    lin_valid: [bool; L],
+}
+
+/// A cached model linearization: the angles it was taken at and their
+/// [`Factors`].
+#[derive(Clone, Copy, Debug)]
+struct Linearization<T> {
+    angles: [T; 3],
+    factors: Factors<T>,
+}
+
+impl<T: Copy> Linearization<T> {
+    /// Caches `lane` of the lane group's linearization at `angles`.
+    fn store_lane<S: Copy>(&mut self, lane: usize, angles: &[T; 3], factors: &Factors<T>)
+    where
+        T: IndexMut<usize, Output = S>,
+    {
+        for k in 0..3 {
+            self.angles[k][lane] = angles[k][lane];
+        }
+        self.factors.zip_mut(factors, |v, f| v[lane] = f[lane]);
+    }
 }
 
 /// `(counts, cycles)` snapshot for phase attribution.
@@ -119,11 +152,18 @@ where
             config,
             arith,
             sigmas: [config.measurement_sigma; L],
+            r_t: zero,
+            step_tol: zero,
             x: [zero; STATE_DIM],
             p: [[zero; STATE_DIM]; STATE_DIM],
             updates: [0; L],
             rejected: [0; L],
             phases: PhaseLedger::default(),
+            lin: Linearization {
+                angles: [zero; 3],
+                factors: Factors::splat(zero),
+            },
+            lin_valid: [false; L],
         };
         for lane in 0..L {
             filter.reset_lane(lane);
@@ -150,7 +190,16 @@ where
     /// Retunes one lane's measurement noise (the adaptive monitor
     /// calls this).
     pub fn set_measurement_sigma(&mut self, lane: usize, sigma: f64) {
-        self.sigmas[lane] = sigma.max(1e-6);
+        self.set_sigma(lane, sigma.max(1e-6));
+    }
+
+    /// Sets one lane's sigma and converts the constants the update
+    /// reads from it.
+    fn set_sigma(&mut self, lane: usize, sigma: f64) {
+        self.sigmas[lane] = sigma;
+        let a = self.arith.inner_mut();
+        self.r_t[lane] = a.num(sigma * sigma);
+        self.step_tol[lane] = a.num((0.02 * sigma / STANDARD_GRAVITY).sqrt());
     }
 
     /// One lane's estimated misalignment.
@@ -260,7 +309,8 @@ where
     }
 
     /// Exports one lane's complete filter state (state vector,
-    /// covariance, adaptive sigma, counters) in the substrate — the one
+    /// covariance, adaptive sigma, counters, cached linearization) in
+    /// the substrate — the one
     /// per-lane state-transfer path. The fleet arena moves vehicles
     /// between slots with it (compact-on-evict) and
     /// [`Self::export_snapshot`] converts it for a substrate swap.
@@ -271,6 +321,10 @@ where
             sigma: self.sigmas[lane],
             updates: self.updates[lane],
             rejected: self.rejected[lane],
+            lin: self.lin_valid[lane].then(|| Linearization {
+                angles: self.lin.angles.map(|v| v[lane]),
+                factors: self.lin.factors.map(|v| v[lane]),
+            }),
         }
     }
 
@@ -283,9 +337,16 @@ where
                 self.p[i][j][lane] = state.p[i][j];
             }
         }
-        self.sigmas[lane] = state.sigma;
+        self.set_sigma(lane, state.sigma);
         self.updates[lane] = state.updates;
         self.rejected[lane] = state.rejected;
+        self.lin_valid[lane] = state.lin.is_some();
+        if let Some(lin) = &state.lin {
+            for k in 0..3 {
+                self.lin.angles[k][lane] = lin.angles[k];
+            }
+            self.lin.factors.zip_mut(&lin.factors, |v, f| v[lane] = *f);
+        }
     }
 
     /// Re-initializes one lane to the fresh-filter state, so a recycled
@@ -313,9 +374,10 @@ where
                 };
             }
         }
-        self.sigmas[lane] = self.config.measurement_sigma;
+        self.set_sigma(lane, self.config.measurement_sigma);
         self.updates[lane] = 0;
         self.rejected[lane] = 0;
+        self.lin_valid[lane] = false;
     }
 
     /// Exports one lane's algorithmic state through `f64` — the
@@ -351,6 +413,8 @@ where
     /// healthy covariance stays positive-definite through quantization.
     /// The counters, the retuned measurement sigma and the phase
     /// ledger carry over; the substrate's own op ledger is untouched.
+    /// The lane's cached linearization does not (it is in the old
+    /// substrate): the next update relinearizes at the prior.
     pub fn import_snapshot(&mut self, lane: usize, snapshot: &FilterSnapshot) {
         let a = self.arith.inner_mut();
         let quantum = positive_quantum(a);
@@ -373,6 +437,7 @@ where
             sigma: snapshot.measurement_sigma.max(1e-6),
             updates: snapshot.updates,
             rejected: snapshot.rejected,
+            lin: None,
         };
         self.import_lane(lane, &state);
         self.phases = snapshot.phases;
@@ -489,32 +554,49 @@ where
     /// at compile time).
     ///
     /// A lane takes another pass only while its last one moved the
-    /// angles by at least `sqrt(0.02 sigma / g)` for its own current
-    /// measurement sigma: below that, relinearizing could change `h`
-    /// (linear in the biases, second order in the angles) by under 1 %
-    /// of sigma. [`FilterConfig::iekf_iterations`] caps the passes, and
-    /// the last pass the cap allows computes no step. A converged lane
-    /// therefore stops after pass 0, which reuses the gate's model, and
-    /// evaluates no trig in the update phase.
+    /// angles by at least `tol = sqrt(0.02 sigma / g)` for its own
+    /// current measurement sigma: below that, relinearizing could change
+    /// `h` (linear in the biases, second order in the angles) by under
+    /// 1 % of sigma. [`FilterConfig::iekf_iterations`] caps the passes,
+    /// and the last pass the cap allows computes no step.
+    ///
+    /// The same rule decides across samples. On floating point each lane
+    /// keeps the angles `x_lin` of its last linearization and their
+    /// [`model::Factors`]. The gate reuses them while the prior is within
+    /// `tol` of them (`max |x_pred - x_lin|`, computed in the substrate)
+    /// and otherwise relinearizes at the prior, as does a lane whose
+    /// cache a reset or a snapshot import cleared. The gate innovation
+    /// is `z - h(x_lin) - J(x_lin) (x_pred - x_lin)`: the model at
+    /// `x_lin` extrapolated to the prior, within about `g tol^2 / 2` of
+    /// `z - h(x_pred)`. That is exactly the IEKF residual at
+    /// `x_i = x_lin`, so pass 0 starts there and takes the gate's
+    /// innovation, `J`, `J P` and `S` as its own; every later pass
+    /// relinearizes at its own `x_i` and caches it. A converged lane
+    /// stops after pass 0 with a cache its next prior is still within,
+    /// so it evaluates no trig. Fixed point relinearizes at the prior on
+    /// every sample: its trig costs about a multiply, so a cache would
+    /// save it nothing.
     ///
     /// The hot path exploits the problem's structure: one straight-line
-    /// model + Jacobian evaluation per linearization point
-    /// ([`model::h_and_jacobian_generic`]), `J P` and the symmetric `S`
-    /// over the Jacobian's zeros and ones ([`jp_and_s`]), the gate-pass
-    /// model reused verbatim for IEKF iteration 0 (its linearization
-    /// point *is* the prior, so its residual is `z - h` with no
-    /// `J (x_pred - x_i)` term), the 2x2 innovation solved closed-form,
-    /// `P J^T` read off `J P` by transposition (valid because `P` is
-    /// kept exactly symmetric) and the covariance update: the Kalman
-    /// form reuses the final pass's `J P` ([`kalman_structured`], 45 ops),
-    /// the Joseph form runs over the Jacobian's zeros and ones
-    /// ([`joseph_structured`]). The gain, `K · resid` and the Joseph
-    /// update start every sum with a `mul` and drop literal-zero terms,
-    /// so they are bit-identical to their dense formulation.
+    /// model + Jacobian evaluation per linearization point, in an
+    /// angle-only half ([`model::factors`]) and a specific-force half
+    /// ([`model::from_factors`]), `J P` and the symmetric `S` over the
+    /// Jacobian's zeros and ones ([`jp_and_s`]), the gate's model, `J P`
+    /// and `S` reused verbatim for pass 0, the 2x2 innovation solved
+    /// closed-form, `P J^T` read off `J P` by transposition (valid
+    /// because `P` is kept exactly symmetric) and the covariance update:
+    /// the Kalman form reuses the final pass's `J P`
+    /// ([`kalman_structured`], 45 ops), the Joseph form runs over the
+    /// Jacobian's zeros and ones ([`joseph_structured`]). The gain,
+    /// `K · resid` and the Joseph update start every sum with a `mul`
+    /// and drop literal-zero terms, so they are bit-identical to their
+    /// dense formulation. `R` and `tol` are converted per lane when its
+    /// sigma changes, not per update.
     ///
     /// `inactive` lanes are frozen from the start: they execute every
-    /// instruction with writes masked (state, covariance, counters all
-    /// untouched) and their returned records are meaningless.
+    /// instruction with writes masked (state, covariance, counters and
+    /// cached linearization all untouched) and their returned records
+    /// are meaningless.
     pub(crate) fn update_lanes_t(
         &mut self,
         z: &[Vec2; L],
@@ -524,8 +606,8 @@ where
     ) -> [KalmanUpdate; L] {
         let gate_before = ledger_snapshot(&self.arith);
         let estimate_bias = self.config.estimate_bias;
+        let (r_t, step_tol) = (self.r_t, self.step_tol);
         let a = &mut self.arith;
-        let r_t = a.from_lanes(self.sigmas.map(|s| s * s));
         let zero = a.num(0.0);
         let zt = [
             a.from_lanes(std::array::from_fn(|i| z[i][0])),
@@ -536,8 +618,8 @@ where
         // --- Gate pass -------------------------------------------------
         // First-pass innovation and its sigma: this is what the
         // residual monitor sees (z minus the prior prediction).
-        let (h0, jac0) = model::h_and_jacobian_generic(a, &x_pred, &f_b, estimate_bias);
-        let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
+        let (x_lin, jac0, innov_t) = self.gate_model(&zt, &x_pred, &f_b, inactive);
+        let a = &mut self.arith;
         let (jp0, s0) = jp_and_s(a, &jac0, &self.p, r_t, estimate_bias);
         let m0 = a.max(s0[0][0], zero);
         let sig0 = a.sqrt(m0);
@@ -571,15 +653,10 @@ where
         // --- IEKF iterations with per-lane freeze masks ----------------
         let a = &mut self.arith;
         let iterations = self.config.iekf_iterations.max(1);
-        // The stop rule above, from each lane's current sigma.
-        let step_tol = a.from_lanes(self.sigmas.map(|s| (0.02 * s / STANDARD_GRAVITY).sqrt()));
         let inner = a.inner_mut();
         let (tiny, zero_s) = (inner.num(1e-300), inner.num(0.0));
-        let mut x_i = x_pred;
-        // Iteration 0 relinearizes at x_i = x_pred — exactly where the
-        // gate pass just evaluated the model — so its h, J, J P and S
-        // are the gate's, reused, not recomputed.
-        let mut h_i = h0;
+        // Pass 0 linearizes where the gate did, so its J, J P and S are
+        // the gate's, reused, not recomputed.
         let mut jac = jac0;
         let mut jp = jp0;
         let mut s = s0;
@@ -593,13 +670,32 @@ where
         // from then on. When every lane is frozen the loop — and the
         // covariance update below — stop.
         let mut frozen: [bool; L] = std::array::from_fn(|lane| rejectd[lane] || inactive[lane]);
+        // Every live lane starts from its gate linearization point.
+        let mut x_i = x_pred;
+        for lane in (0..L).filter(|&lane| !frozen[lane]) {
+            for k in 0..3 {
+                x_i[k][lane] = x_lin[k][lane];
+            }
+        }
         for iter in 0..iterations {
             if frozen.iter().all(|f| *f) {
                 break;
             }
+            let mut h_i = None;
             if iter > 0 {
-                (h_i, jac) = model::h_and_jacobian_generic(a, &x_i, &f_b, estimate_bias);
+                let angles = [x_i[0], x_i[1], x_i[2]];
+                let factors = model::factors(a, &angles);
+                let (h, j) =
+                    model::from_factors(a, &factors, &[x_i[3], x_i[4]], &f_b, estimate_bias);
+                (h_i, jac) = (Some(h), j);
                 (jp, s) = jp_and_s(a, &jac, &self.p, r_t, estimate_bias);
+                if !A::FIXED_POINT {
+                    // This pass's linearization is each live lane's
+                    // latest.
+                    for lane in (0..L).filter(|&lane| !frozen[lane]) {
+                        self.lin.store_lane(lane, &angles, &factors);
+                    }
+                }
             }
             // A lane whose pivot fails is singular: rejected and frozen,
             // its possibly non-finite inverse masked out below. The
@@ -626,15 +722,16 @@ where
                     *k_st = a.fma(jp[1][st], s_inv[1][m], t);
                 }
             }
-            // IEKF residual: z - h(x_i) - J (x_pred - x_i). Pass 0
-            // linearizes at the prior, where the correction is zero.
-            let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
-            let resid = if iter == 0 {
-                zh
-            } else {
-                let dx = smallmat::vec_sub(a, &x_pred, &x_i);
-                let jdx = smallmat::mat_vec(a, &jac, &dx);
-                [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])]
+            // IEKF residual: z - h(x_i) - J (x_pred - x_i). At pass 0
+            // `x_i = x_lin`, where it is the gate innovation.
+            let resid = match h_i {
+                None => innov_t,
+                Some(h_i) => {
+                    let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
+                    let dx = smallmat::vec_sub(a, &x_pred, &x_i);
+                    let jdx = smallmat::mat_vec(a, &jac, &dx);
+                    [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])]
+                }
             };
             let mut kr = [zero; STATE_DIM];
             for (kr_st, k_row) in kr.iter_mut().zip(&k) {
@@ -739,6 +836,76 @@ where
         })
     }
 
+    /// The gate's model evaluation (see [`Self::update_lanes_t`]): each
+    /// lane's linearization angles `x_lin`, `J` there, and the
+    /// innovation `z - h(x_lin) - J(x_lin) (x_pred - x_lin)`. Every
+    /// active lane that relinearizes at its prior refreshes its cache;
+    /// the others keep theirs.
+    #[allow(clippy::type_complexity)]
+    fn gate_model(
+        &mut self,
+        zt: &[LA::T; MEAS_DIM],
+        x_pred: &[LA::T; STATE_DIM],
+        f_b: &[LA::T; 3],
+        inactive: &[bool; L],
+    ) -> (
+        [LA::T; 3],
+        [[LA::T; STATE_DIM]; MEAS_DIM],
+        [LA::T; MEAS_DIM],
+    ) {
+        let estimate_bias = self.config.estimate_bias;
+        let a = &mut self.arith;
+        let angles = [x_pred[0], x_pred[1], x_pred[2]];
+        let bias = [x_pred[3], x_pred[4]];
+        if A::FIXED_POINT {
+            let factors = model::factors(a, &angles);
+            let (h, jac) = model::from_factors(a, &factors, &bias, f_b, estimate_bias);
+            return (angles, jac, [a.sub(zt[0], h[0]), a.sub(zt[1], h[1])]);
+        }
+        // The lanes that relinearize at the prior: every active lane
+        // whose cache is empty or whose prior left its tolerance.
+        let mut refresh: [bool; L] = std::array::from_fn(|lane| !inactive[lane]);
+        let zero = a.num(0.0);
+        let mut dx = [zero; 3];
+        if (0..L).any(|lane| refresh[lane] && self.lin_valid[lane]) {
+            dx = smallmat::vec_sub(a, &angles, &self.lin.angles);
+            let d = smallmat::vec_max_abs(a, &dx);
+            for lane in 0..L {
+                if refresh[lane]
+                    && self.lin_valid[lane]
+                    && a.inner_mut().lt(d[lane], self.step_tol[lane])
+                {
+                    refresh[lane] = false;
+                }
+            }
+        }
+        if refresh.iter().any(|r| *r) {
+            let factors = model::factors(a, &angles);
+            for lane in (0..L).filter(|&lane| refresh[lane]) {
+                self.lin.store_lane(lane, &angles, &factors);
+                self.lin_valid[lane] = true;
+                for d in &mut dx {
+                    d[lane] = zero[lane];
+                }
+            }
+        }
+        let (h, jac) = model::from_factors(a, &self.lin.factors, &bias, f_b, estimate_bias);
+        let zh = [a.sub(zt[0], h[0]), a.sub(zt[1], h[1])];
+        if (0..L).all(|lane| inactive[lane] || refresh[lane]) {
+            // Every active lane is linearized at its prior.
+            return (self.lin.angles, jac, zh);
+        }
+        // J (x_pred - x_lin) over the angle columns (the biases are
+        // taken at the prior, so their difference is zero), dropping
+        // the literal zero `J[0][0]`.
+        let t = a.mul(jac[0][1], dx[1]);
+        let j0 = a.fma(jac[0][2], dx[2], t);
+        let t = a.mul(jac[1][0], dx[0]);
+        let t = a.fma(jac[1][1], dx[1], t);
+        let j1 = a.fma(jac[1][2], dx[2], t);
+        (self.lin.angles, jac, [a.sub(zh[0], j0), a.sub(zh[1], j1)])
+    }
+
     /// Clamps each lane's state to its physical trust region,
     /// re-opening the variance of any clamped component (see
     /// [`FilterConfig::angle_limit`]). The bounds test runs on every
@@ -811,6 +978,7 @@ pub struct LaneState<A: Arith> {
     sigma: f64,
     updates: u64,
     rejected: u64,
+    lin: Option<Linearization<A::T>>,
 }
 
 /// `L` synchronized ACC channels fused against one shared IMU stream
@@ -1158,30 +1326,42 @@ mod tests {
     }
 
     /// The trig evaluations each of `steps` accepted updates charges to
-    /// the update phase of a fresh width-1 filter whose sensor is
-    /// mounted at `mount`.
-    fn update_trig_per_step(cfg: FilterConfig, mount: EulerAngles, steps: usize) -> Vec<u64> {
+    /// the gate and to the update phase of a fresh width-1 filter whose
+    /// sensor is mounted at `mount`.
+    fn trig_per_step(cfg: FilterConfig, mount: EulerAngles, steps: usize) -> Vec<[u64; 2]> {
         let mut kf: GenericBoresightFilter<F64Arith> = GenericBoresightFilter::new(cfg);
+        let trig = |kf: &GenericBoresightFilter<F64Arith>| {
+            let phases = kf.phase_ledger();
+            [phases.gate.ops.trig, phases.update.ops.trig]
+        };
         (0..steps)
             .map(|i| {
                 let t = i as f64 * 0.005;
                 let f = tilt_force(t);
-                let before = kf.phase_ledger().update.ops.trig;
+                let before = trig(&kf);
                 kf.predict(0.005);
                 assert!(kf.update(mounted_reading(mount, f, t), f, t).accepted);
-                kf.phase_ledger().update.ops.trig - before
+                let after = trig(&kf);
+                [after[0] - before[0], after[1] - before[1]]
             })
             .collect()
     }
 
-    /// Once a lane has converged its first pass moves the angles by far
-    /// less than the step tolerance, so it never relinearizes: the
-    /// update phase reuses the gate's model and evaluates no trig.
+    /// A fresh lane linearizes at its prior in the gate and relinearizes
+    /// once in the update. Once it has converged, its first pass moves
+    /// the angles by far less than the step tolerance and its prior
+    /// stays within the tolerance of its cached linearization: neither
+    /// the gate nor the update evaluates trig.
     #[test]
-    fn converged_lane_charges_no_update_trig() {
+    fn converged_lane_charges_no_trig() {
         let mount = EulerAngles::from_degrees(2.0, -1.5, 3.0);
-        let trig = update_trig_per_step(FilterConfig::paper_static(), mount, 400);
-        assert!(trig[300..].iter().all(|&n| n == 0), "{:?}", &trig[300..]);
+        let trig = trig_per_step(FilterConfig::paper_static(), mount, 1000);
+        assert_eq!(trig[0], [3, 3]);
+        assert!(
+            trig[300..].iter().all(|&n| n == [0, 0]),
+            "{:?}",
+            &trig[300..]
+        );
     }
 
     /// A lane started 3 deg from the truth steps far past the tolerance
@@ -1196,9 +1376,9 @@ mod tests {
         let mut cfg = FilterConfig::paper_static();
         cfg.iekf_iterations = 2;
         let to_the_cap = 3 * (cfg.iekf_iterations as u64 - 1);
-        assert_eq!(update_trig_per_step(cfg, mount, 1), [to_the_cap]);
+        assert_eq!(trig_per_step(cfg, mount, 1)[0][1], to_the_cap);
         cfg.iekf_iterations = 3;
-        assert_eq!(update_trig_per_step(cfg, mount, 1), [3], "cap 3");
+        assert_eq!(trig_per_step(cfg, mount, 1)[0][1], 3, "cap 3");
     }
 
     /// Lanes that stop iterating at different passes — two mounted at
@@ -1246,6 +1426,151 @@ mod tests {
             }
         }
         assert_lanes_match(&lanes, &scalars);
+    }
+
+    /// The largest angle gap between a width-1 filter's state and its
+    /// cached linearization, and the lane's step tolerance.
+    fn cache_gap(kf: &LaneIekf<F64Arith, 1>) -> (f64, f64) {
+        let x = kf.state(0);
+        let gap = (0..3)
+            .map(|k| (x[k] - kf.lin.angles[k][0]).abs())
+            .fold(0.0, f64::max);
+        (gap, kf.step_tol[0])
+    }
+
+    /// A classic EKF (one pass, so the update never relinearizes)
+    /// converging from 3 deg off moves past its cache's tolerance: the
+    /// gate relinearizes at the prior (3 `sin_cos`) exactly when the
+    /// prior is at least the tolerance away, and caches the prior.
+    #[test]
+    fn lane_leaving_the_tolerance_relinearizes_at_its_prior() {
+        let mount = EulerAngles::from_degrees(3.0, -3.0, 3.0);
+        let mut cfg = FilterConfig::paper_static();
+        cfg.iekf_iterations = 1;
+        let mut kf: LaneIekf<F64Arith, 1> = LaneIekf::new(cfg);
+        let mut refreshes = 0;
+        for i in 0..800 {
+            let t = i as f64 * 0.005;
+            let f = tilt_force(t);
+            kf.predict(0.005);
+            let (gap, tol) = cache_gap(&kf);
+            let x_pred = kf.state(0);
+            let (gate, update) = (kf.phases.gate.ops.trig, kf.phases.update.ops.trig);
+            kf.update_lanes(&[mounted_reading(mount, f, t)], &[f], t);
+            let gate_trig = kf.phases.gate.ops.trig - gate;
+            if i == 0 {
+                // No cache yet: the fresh lane linearizes at its prior.
+                assert_eq!(gate_trig, 3);
+                continue;
+            }
+            assert_eq!(gate_trig, if gap < tol { 0 } else { 3 }, "step {i}");
+            assert_eq!(kf.phases.update.ops.trig, update);
+            if gate_trig > 0 {
+                refreshes += 1;
+                for k in 0..3 {
+                    assert_eq!(kf.lin.angles[k][0].to_bits(), x_pred[k].to_bits());
+                }
+            }
+        }
+        assert!(
+            refreshes > 1,
+            "the converging lane must leave its tolerance"
+        );
+    }
+
+    /// On `f64` random update sequences the gate innovation — the model
+    /// at the cached linearization, extrapolated to the prior — stays
+    /// within `g tol^2 / 2` (1 % of sigma) of the exact `z - h(x_pred)`.
+    #[test]
+    fn gate_innovation_tracks_the_exact_prior_innovation() {
+        use crate::model::reference;
+        let cfg = FilterConfig::paper_static();
+        let tol = (0.02 * cfg.measurement_sigma / STANDARD_GRAVITY).sqrt();
+        let bound = STANDARD_GRAVITY * tol * tol / 2.0;
+        let mut rng = seeded_rng(29);
+        let mut gauss = GaussianSampler::new();
+        let (mut reused, mut worst) = (0, 0.0_f64);
+        for _ in 0..20 {
+            let mut draw = |sigma| gauss.sample_scaled(&mut rng, 0.0, sigma);
+            let mount = EulerAngles::new(draw(0.05), draw(0.05), draw(0.05));
+            let (ax, ay) = (draw(2.0), draw(2.0));
+            let mut kf: GenericBoresightFilter<F64Arith> = GenericBoresightFilter::new(cfg);
+            for i in 0..400 {
+                let t = i as f64 * 0.005;
+                let f = Vec3::new([
+                    ax * (0.7 * t).sin() + draw(0.3),
+                    ay * (0.4 * t).cos() + draw(0.3),
+                    STANDARD_GRAVITY + draw(0.3),
+                ]);
+                let f_s = mount.dcm().transpose().rotate(f);
+                let z = Vec2::new([f_s[0] + draw(0.007), f_s[1] + draw(0.007)]);
+                let x_pred = kf.state();
+                let gate_trig = kf.phase_ledger().gate.ops.trig;
+                kf.predict(0.005);
+                let update = kf.update(z, f, t);
+                reused += usize::from(kf.phase_ledger().gate.ops.trig == gate_trig);
+                let exact = z - reference::h(&x_pred, f);
+                for axis in 0..2 {
+                    let err = (update.innovation[axis] - exact[axis]).abs();
+                    worst = worst.max(err);
+                    assert!(err <= bound, "step {i} axis {axis}: {err:e} > {bound:e}");
+                }
+            }
+        }
+        assert!(
+            reused > 20 * 300,
+            "the sequences must exercise reuse: {reused}"
+        );
+        assert!(worst > 0.0, "reuse must extrapolate, not recompute");
+    }
+
+    /// The cached linearization travels with a lane: a lane exported,
+    /// reset and imported mid-run continues bit-identically to one left
+    /// alone, while a reset lane or a snapshot import starts with no
+    /// cache.
+    #[test]
+    fn lane_state_carries_the_linearization_and_resets_clear_it() {
+        let cfg = FilterConfig::paper_static();
+        let mount = EulerAngles::from_degrees(2.0, -1.5, 3.0);
+        let mut moved: LaneIekf<F64Arith, 2> = LaneIekf::new(cfg);
+        let mut kept: LaneIekf<F64Arith, 2> = LaneIekf::new(cfg);
+        let step = |kf: &mut LaneIekf<F64Arith, 2>, i: usize| {
+            let t = i as f64 * 0.005;
+            let f = tilt_force(t);
+            kf.predict(0.005);
+            kf.update_lanes(&[mounted_reading(mount, f, t); 2], &[f; 2], t);
+        };
+        for i in 0..400 {
+            step(&mut moved, i);
+            step(&mut kept, i);
+        }
+        let state = moved.export_lane(1);
+        assert!(state.lin.is_some());
+        moved.reset_lane(1);
+        assert!(!moved.lin_valid[1]);
+        moved.import_lane(1, &state);
+        assert!(moved.lin_valid[1]);
+        for i in 400..800 {
+            step(&mut moved, i);
+            step(&mut kept, i);
+        }
+        let (a, b) = (moved.export_lane(1), kept.export_lane(1));
+        assert_eq!(a.x.map(f64::to_bits), b.x.map(f64::to_bits));
+        assert_eq!(
+            a.p.map(|r| r.map(f64::to_bits)),
+            b.p.map(|r| r.map(f64::to_bits))
+        );
+        let (la, lb) = (a.lin.expect("cached"), b.lin.expect("cached"));
+        assert_eq!(la.angles.map(f64::to_bits), lb.angles.map(f64::to_bits));
+        let mut same = true;
+        let mut fa = la.factors;
+        fa.zip_mut(&lb.factors, |x, y| same &= x.to_bits() == y.to_bits());
+        assert!(same, "cached factors differ");
+        // A snapshot crosses substrates, so it carries no cache.
+        let snapshot = kept.export_snapshot(0);
+        kept.import_snapshot(0, &snapshot);
+        assert!(!kept.lin_valid[0] && kept.lin_valid[1]);
+        assert!(kept.export_lane(0).lin.is_none());
     }
 
     /// Export → reset → import must round-trip a lane bit-exactly, and

@@ -13,7 +13,13 @@
 //! pair and `v` measurement noise. This module supplies the model
 //! function `h` and its analytic Jacobian with respect to the filter
 //! state `[phi, theta, psi, bx, by]` as one kernel,
-//! [`h_and_jacobian_generic`], over any [`Arith`] substrate.
+//! [`h_and_jacobian_generic`], over any [`Arith`] substrate, in two
+//! halves: [`factors`] does the work that depends only on the angles
+//! (the three `sin_cos` and their products) and [`from_factors`] the
+//! dot products with the specific force and the bias terms. `h` is
+//! linear in `f_b`, so a filter whose linearization point stays put
+//! across samples reuses the factors and pays only the second half
+//! (see [`crate::lanes::LaneIekf`]).
 //!
 //! The kernel is the dense formulation — `C_sb = (Rz Ry Rx)^T` and its
 //! three partials multiplied out as 3x3 products — with every term a
@@ -39,18 +45,84 @@ pub type Meas = Vector<MEAS_DIM>;
 /// State covariance.
 pub type StateCov = Matrix<STATE_DIM, STATE_DIM>;
 
-/// Model function and analytic Jacobian at one linearization point:
-/// `h(x)` for IMU specific force `f_b`, and `dh/dx` (2 x 5) with the
-/// bias columns zeroed when `estimate_bias` is off.
+/// The angle-only half of the model at one linearization point: the
+/// coefficients of every read entry of `M^T f_b` (`M` the rotation
+/// product or one of its three partials), so that `h` and `J` are dot
+/// products of them with the specific force.
+///
+/// `h` is linear in `f_b`, so a filter that keeps its linearization
+/// point across samples keeps these and pays only [`from_factors`] per
+/// sample: [`factors`] holds the model's three `sin_cos` and all but
+/// the `f_b` products.
+#[derive(Clone, Copy, Debug)]
+pub struct Factors<T> {
+    /// Rows 0 and 1 of `C_sb`: `f_s = C_sb f_b`.
+    pub c_sb: [[T; 3]; 2],
+    /// Row 1 of `dC_sb/dphi` (its row 0 is zero).
+    pub d_phi: [T; 3],
+    /// Rows 0 and 1 of `dC_sb/dtheta`.
+    pub d_theta: [[T; 3]; 2],
+    /// Rows 0 and 1 of `dC_sb/dpsi`, whose `f_z` column is zero.
+    pub d_psi: [[T; 2]; 2],
+}
+
+impl<T: Copy> Factors<T> {
+    /// Every entry set to `v`.
+    pub fn splat(v: T) -> Self {
+        Self {
+            c_sb: [[v; 3]; 2],
+            d_phi: [v; 3],
+            d_theta: [[v; 3]; 2],
+            d_psi: [[v; 2]; 2],
+        }
+    }
+
+    /// Entry-wise map.
+    pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> Factors<U> {
+        Factors {
+            c_sb: self.c_sb.each_ref().map(|row| row.each_ref().map(&mut f)),
+            d_phi: self.d_phi.each_ref().map(&mut f),
+            d_theta: self
+                .d_theta
+                .each_ref()
+                .map(|row| row.each_ref().map(&mut f)),
+            d_psi: self.d_psi.each_ref().map(|row| row.each_ref().map(&mut f)),
+        }
+    }
+
+    /// Visits every entry of `self` beside the same entry of `other`.
+    pub fn zip_mut<U>(&mut self, other: &Factors<U>, mut f: impl FnMut(&mut T, &U)) {
+        let dst = self
+            .c_sb
+            .iter_mut()
+            .flatten()
+            .chain(&mut self.d_phi)
+            .chain(self.d_theta.iter_mut().flatten())
+            .chain(self.d_psi.iter_mut().flatten());
+        let src = other
+            .c_sb
+            .iter()
+            .flatten()
+            .chain(&other.d_phi)
+            .chain(other.d_theta.iter().flatten())
+            .chain(other.d_psi.iter().flatten());
+        for (d, s) in dst.zip(src) {
+            f(d, s);
+        }
+    }
+}
+
+/// The model's [`Factors`] at the misalignment `angles`
+/// (`[phi, theta, psi]`).
 ///
 /// The Euler factors `Rx`, `Ry`, `Rz` and their derivatives are full
 /// of literal zeros and ones: 149 of the dense evaluation's 225
 /// multiply-adds have such a factor. A third of the dense products'
 /// outputs (row 2 of every `M^T f`, column 2 of every `M`) is never
 /// read. This evaluates only what is read, under four exactness rules
-/// that make
-/// it **bit-identical** to the dense `reference::h_generic` +
-/// `reference::jacobian_generic` pair on every substrate:
+/// that make [`h_and_jacobian_generic`] **bit-identical** to the dense
+/// `reference::h_generic` + `reference::jacobian_generic` pair on every
+/// substrate:
 ///
 /// - each sum keeps the dense association and ascending index order;
 /// - a term drops only when one of its factors is a literal zero, and
@@ -63,27 +135,15 @@ pub type StateCov = Matrix<STATE_DIM, STATE_DIM>;
 ///   shared (`c2 c1`, `c2 s1`, …); `c2 (-s1)` is never rewritten as
 ///   `-(c2 s1)`, because fixed-point rounding is not odd-symmetric.
 ///
-/// On IEEE substrates the one difference the rules admit is the sign
-/// of an exactly-zero result (the dense accumulator starts at `+0`).
-/// One evaluation costs 3 `sin_cos`, 5 negations, 25 multiplies,
-/// 17 fused multiply-adds and 2 adds (pinned by
-/// `tests/arith_full_filter.rs`), against 3, 6, 0, 225 and 2 dense.
-#[allow(clippy::type_complexity)]
-pub fn h_and_jacobian_generic<A: Arith>(
-    a: &mut A,
-    x: &[A::T; STATE_DIM],
-    f_b: &[A::T; 3],
-    estimate_bias: bool,
-) -> ([A::T; MEAS_DIM], [[A::T; STATE_DIM]; MEAS_DIM]) {
-    let zero = a.num(0.0);
-    let bias = if estimate_bias { a.num(1.0) } else { zero };
-    let (s0, c0) = a.sin_cos(x[0]);
-    let (s1, c1) = a.sin_cos(x[1]);
-    let (s2, c2) = a.sin_cos(x[2]);
+/// Costs 3 `sin_cos`, 5 negations, 18 multiplies and 5 fused
+/// multiply-adds (pinned by `tests/arith_full_filter.rs`).
+pub fn factors<A: Arith>(a: &mut A, angles: &[A::T; 3]) -> Factors<A::T> {
+    let (s0, c0) = a.sin_cos(angles[0]);
+    let (s1, c1) = a.sin_cos(angles[1]);
+    let (s2, c2) = a.sin_cos(angles[2]);
     let ns0 = a.neg(s0);
     let (ns1, nc1) = (a.neg(s1), a.neg(c1));
     let (ns2, nc2) = (a.neg(s2), a.neg(c2));
-    let [f0, f1, f2] = *f_b;
     // Rz Ry, Rz dRy and dRz Ry: every entry is one product, a bare
     // factor or a literal zero. The products recur across the three.
     let c2c1 = a.mul(c2, c1);
@@ -115,32 +175,73 @@ pub fn h_and_jacobian_generic<A: Arith>(
     let t = a.mul(c2, c0);
     let prod1 = a.fma(s2s1, s0, t);
     let prod2 = a.mul(c1, s0);
-    // The read components of M^T f_b.
-    let t = a.mul(phi0, f0);
-    let t = a.fma(phi1, f1, t);
-    let d_phi1 = a.fma(phi2, f2, t);
-    let t = a.mul(c2ns1, f0);
-    let t = a.fma(s2ns1, f1, t);
-    let d_theta0 = a.fma(nc1, f2, t);
-    let t = a.mul(theta0, f0);
-    let t = a.fma(theta1, f1, t);
-    let d_theta1 = a.fma(theta2, f2, t);
-    let t = a.mul(ns2c1, f0);
-    let d_psi0 = a.fma(c2c1, f1, t);
-    let t = a.mul(psi0, f0);
-    let d_psi1 = a.fma(psi1, f1, t);
-    let t = a.mul(c2c1, f0);
-    let t = a.fma(s2c1, f1, t);
-    let f_s0 = a.fma(ns1, f2, t);
-    let t = a.mul(psi1, f0);
-    let t = a.fma(prod1, f1, t);
-    let f_s1 = a.fma(prod2, f2, t);
-    let h = [a.add(f_s0, x[3]), a.add(f_s1, x[4])];
+    Factors {
+        c_sb: [[c2c1, s2c1, ns1], [psi1, prod1, prod2]],
+        d_phi: [phi0, phi1, phi2],
+        d_theta: [[c2ns1, s2ns1, nc1], [theta0, theta1, theta2]],
+        d_psi: [[ns2c1, c2c1], [psi0, psi1]],
+    }
+}
+
+/// `h` and `J` from the [`Factors`] of a linearization point, its bias
+/// states `bias` (`[bx, by]`) and the specific force `f_b`: the read
+/// components of `M^T f_b` as dot products (a `mul`, then `fma`s) and
+/// the bias terms. The Jacobian's bias columns are zero when
+/// `estimate_bias` is off.
+///
+/// Costs 7 multiplies, 12 fused multiply-adds and 2 adds.
+#[allow(clippy::type_complexity)]
+pub fn from_factors<A: Arith>(
+    a: &mut A,
+    factors: &Factors<A::T>,
+    bias: &[A::T; 2],
+    f_b: &[A::T; 3],
+    estimate_bias: bool,
+) -> ([A::T; MEAS_DIM], [[A::T; STATE_DIM]; MEAS_DIM]) {
+    fn dot<A: Arith, const N: usize>(a: &mut A, row: &[A::T; N], f_b: &[A::T; 3]) -> A::T {
+        let mut acc = a.mul(row[0], f_b[0]);
+        for (r, f) in row.iter().zip(f_b).skip(1) {
+            acc = a.fma(*r, *f, acc);
+        }
+        acc
+    }
+    let zero = a.num(0.0);
+    let one = if estimate_bias { a.num(1.0) } else { zero };
+    let d_phi1 = dot(a, &factors.d_phi, f_b);
+    let d_theta0 = dot(a, &factors.d_theta[0], f_b);
+    let d_theta1 = dot(a, &factors.d_theta[1], f_b);
+    let d_psi0 = dot(a, &factors.d_psi[0], f_b);
+    let d_psi1 = dot(a, &factors.d_psi[1], f_b);
+    let f_s0 = dot(a, &factors.c_sb[0], f_b);
+    let f_s1 = dot(a, &factors.c_sb[1], f_b);
+    let h = [a.add(f_s0, bias[0]), a.add(f_s1, bias[1])];
     let jac = [
-        [zero, d_theta0, d_psi0, bias, zero],
-        [d_phi1, d_theta1, d_psi1, zero, bias],
+        [zero, d_theta0, d_psi0, one, zero],
+        [d_phi1, d_theta1, d_psi1, zero, one],
     ];
     (h, jac)
+}
+
+/// Model function and analytic Jacobian at one linearization point:
+/// `h(x)` for IMU specific force `f_b`, and `dh/dx` (2 x 5) with the
+/// bias columns zeroed when `estimate_bias` is off —
+/// [`from_factors`] of [`factors`], bit-identical to the dense
+/// formulation on every substrate (see [`factors`] for the rules).
+///
+/// On IEEE substrates the one difference the rules admit is the sign
+/// of an exactly-zero result (the dense accumulator starts at `+0`).
+/// One evaluation costs 3 `sin_cos`, 5 negations, 25 multiplies,
+/// 17 fused multiply-adds and 2 adds (pinned by
+/// `tests/arith_full_filter.rs`), against 3, 6, 0, 225 and 2 dense.
+#[allow(clippy::type_complexity)]
+pub fn h_and_jacobian_generic<A: Arith>(
+    a: &mut A,
+    x: &[A::T; STATE_DIM],
+    f_b: &[A::T; 3],
+    estimate_bias: bool,
+) -> ([A::T; MEAS_DIM], [[A::T; STATE_DIM]; MEAS_DIM]) {
+    let f = factors(a, &[x[0], x[1], x[2]]);
+    from_factors(a, &f, &[x[3], x[4]], f_b, estimate_bias)
 }
 
 /// The dense formulation of the model: the `f64` functions on `mathx`

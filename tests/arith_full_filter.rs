@@ -51,6 +51,29 @@
 //! Final angle deltas (new - old, rad; roll, pitch, yaw): static
 //! (-1.8e-13, -1.2e-14, -5.7e-15), dynamic (-5.5e-14, -8.0e-15,
 //! +1.7e-15), filter-only trace (-3.9e-12, +4.2e-12, -8.1e-13).
+//!
+//! They were **re-pinned a fourth time** when floating-point lanes
+//! began keeping their last linearization across samples: the gate
+//! reuses it while the prior stays within the IEKF step tolerance
+//! `sqrt(0.02 sigma / g)` of it, and its innovation becomes
+//! `z - h(x_lin) - J(x_lin) (x_pred - x_lin)`, which pass 0 takes as
+//! its residual. The gate innovation, `J`, `K` and the covariance
+//! update are then taken at a point up to the tolerance from the
+//! prior, so the estimates move by more than a rounding. Counters,
+//! old -> new:
+//!
+//! | pin | updates | rejected | retunes |
+//! |---|---|---|---|
+//! | static scenario | 10 000 -> 10 000 | 0 -> 0 | 1 -> 1 |
+//! | dynamic scenario | 10 000 -> 10 000 | 0 -> 0 | 1 -> 1 |
+//! | filter-only trace | 1 097 -> 1 088 | 903 -> 912 | n/a |
+//!
+//! Final angle deltas (new - old, rad; roll, pitch, yaw): static
+//! (+2.1e-5, -5.0e-6, +8.7e-7), dynamic (-6.2e-5, +9.0e-5, +3.2e-6),
+//! filter-only trace (-7.9e-4, -3.6e-5, +1.8e-3). The scenario runs'
+//! exceedance rates and final sigmas kept their bits; the filter-only
+//! trace, which gates almost half of its samples against a clamped
+//! bias state, is again the least determined of the three.
 
 use proptest::prelude::*;
 use sensor_fusion_fpga::fusion::arith::{
@@ -115,10 +138,10 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
     assert_run_matches(
         &result,
         &PinnedRun {
-            roll: 0x3fa1e27f09d6ec36,
-            pitch: 0xbfaadc13f462a13a,
-            yaw: 0x3f9ab0ee647e9945,
-            sigma: [0x3f2c9b53efcb1e96, 0x3f2d8fda216e39dc, 0x3ef9222bfcdaa89f],
+            roll: 0x3fa1e549e4a73e80,
+            pitch: 0xbfaadcbabd3d5964,
+            yaw: 0x3f9ab12889092bec,
+            sigma: [0x3f2ce18444f2d004, 0x3f2daae8d692bcac, 0x3ef91fb926d82b20],
             updates: 10_000,
             exceed_rate: 0x3f5bda5119ce075f,
             final_sigma: 0x3f82a305532617c2,
@@ -126,10 +149,10 @@ fn static_scenario_is_bit_identical_to_pre_refactor_trace() {
             residuals: 1_000,
             mid_residual: [
                 0x4039000000000000,
-                0xbf6faad73e683e00,
-                0x3f95835a7f017273,
-                0xbf829b03ad5a2d00,
-                0x3f9581bdaa288ee4,
+                0xbf6fb4f60882990c,
+                0x3f95835de36ffd20,
+                0xbf828f5d48a40124,
+                0x3f9581bcbf5dd732,
             ],
         },
     );
@@ -147,10 +170,10 @@ fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
     assert_run_matches(
         &result,
         &PinnedRun {
-            roll: 0x3fad7738650d0dab,
-            pitch: 0xbfa27c859571512e,
-            yaw: 0x3fa6223ad70a9893,
-            sigma: [0x3f5cefa618eeaf18, 0x3f5dd75c4d63a174, 0x3f223e5d2efe4430],
+            roll: 0x3fad6f11f2ca70f3,
+            pitch: 0xbfa270c34860fca3,
+            yaw: 0x3fa622a7964ad51d,
+            sigma: [0x3f5d2c22e6dd2342, 0x3f5dd32abc97b794, 0x3f2245108e55a765],
             updates: 10_000,
             exceed_rate: 0x3f40624dd2f1a9fc,
             final_sigma: 0x3f93f7ced916872b,
@@ -158,17 +181,17 @@ fn dynamic_scenario_is_bit_identical_to_pre_refactor_trace() {
             residuals: 1_000,
             mid_residual: [
                 0x4039000000000000,
-                0x3f7bfc600020b400,
-                0x3fadf51fb778fbd8,
-                0xbf9432567ec1c0a0,
-                0x3fadf7e688311a36,
+                0x3f7c166795684abc,
+                0x3fadf51814c3b0be,
+                0xbf9427368b1f9328,
+                0x3fadf7db2aa53b82,
             ],
         },
     );
 }
 
 /// A deterministic filter-only trace (no estimator front end, no RNG):
-/// closed-form measurement schedule that exercises gating (903
+/// closed-form measurement schedule that exercises gating (912
 /// rejections) and the bias trust-region clamp (x[3] pinned at the
 /// 0.3 m/s^2 limit).
 #[test]
@@ -187,31 +210,146 @@ fn filter_trace_is_bit_identical_to_pre_refactor() {
         kf.update(z, f_b, t);
     }
     let expected_x: [u64; 5] = [
-        0x3fa05c5bc969a7bc,
-        0x3faaba253c3fd491,
-        0xbf9656aa29c78876,
+        0x3f9fe92289b47516,
+        0x3faab5717de346a9,
+        0xbf947e31d9a79b76,
         0x3fd3333333333333,
-        0xbfce55518ccdc158,
+        0xbfccdf64d3e4ac94,
     ];
     let state = kf.state();
     for (i, bits) in expected_x.iter().enumerate() {
         assert_eq!(state[i].to_bits(), *bits, "x[{i}]");
     }
     let expected_p_diag: [u64; 5] = [
-        0x3ef5b2932dbc6947,
-        0x3ef13d9133e474ff,
-        0x3e74acfc3acf3cee,
-        0x3f5a24cc123fe2c1,
-        0x3f604cc51c77f2a7,
+        0x3ef5a9550c975afe,
+        0x3ef1ada884e3b0c0,
+        0x3e75076fd1eab1df,
+        0x3f5acd5358726985,
+        0x3f6045a734b978fb,
     ];
     let p = kf.covariance();
     for (i, bits) in expected_p_diag.iter().enumerate() {
         assert_eq!(p[(i, i)].to_bits(), *bits, "p[{i}][{i}]");
     }
-    assert_eq!(p[(0, 4)].to_bits(), 0xbf2a982caec5aaa5, "p[0][4]");
-    assert_eq!(kf.update_count(), 1_097);
-    assert_eq!(kf.rejected_count(), 903);
+    assert_eq!(p[(0, 4)].to_bits(), 0xbf2a8cb195793cb7, "p[0][4]");
+    assert_eq!(kf.update_count(), 1_088);
+    assert_eq!(kf.rejected_count(), 912);
     assert!(kf.covariance_healthy());
+}
+
+/// One fixed-point run of the closed-form tilt schedule: final state
+/// and covariance-diagonal bits, accepted and rejected counts, and the
+/// op ledger.
+fn fixed_point_trace<const FRAC: u32>() -> ([u64; 5], [u64; 5], u64, u64, OpCounts) {
+    let mut kf: GenericBoresightFilter<QArith<FRAC>> =
+        GenericBoresightFilter::new(FilterConfig::paper_static());
+    let mount = EulerAngles::from_degrees(2.0, -1.5, 3.0);
+    for i in 0..2_000 {
+        let t = i as f64 * 0.005;
+        let f_b = Vec3::new([
+            2.0 * (0.5 * t).sin(),
+            1.5 * (0.33 * t).cos(),
+            STANDARD_GRAVITY,
+        ]);
+        let f_s = mount.dcm().transpose().rotate(f_b);
+        let z = Vec2::new([
+            f_s[0] + 0.003 * (7.1 * t).sin(),
+            f_s[1] - 0.003 * (5.3 * t).cos(),
+        ]);
+        kf.predict(0.005);
+        kf.update(z, f_b, t);
+    }
+    let (x, p) = (kf.state(), kf.covariance());
+    (
+        std::array::from_fn(|i| x[i].to_bits()),
+        std::array::from_fn(|i| p[(i, i)].to_bits()),
+        kf.update_count(),
+        kf.rejected_count(),
+        kf.arith().counts(),
+    )
+}
+
+/// Fixed point relinearizes at the prior on every sample, so caching
+/// linearizations across samples on floating point left its outputs
+/// bit-identical: the bits below were captured from the filter before
+/// the cache existed. The only ledger change is 2 `sub` per pass 0,
+/// which now takes the gate innovation as its residual instead of
+/// recomputing `z - h` (q16.16: 4 110 -> 4 094 over 8 such passes;
+/// q8.24: 10 270 -> 9 372 over 449).
+#[test]
+fn fixed_point_filter_is_bit_identical_to_the_uncached_filter() {
+    let (x, p, updates, rejected, counts) = fixed_point_trace::<16>();
+    assert_eq!(
+        x,
+        [
+            0x3fa17a0000000000,
+            0xbfa1320000000000,
+            0x3f72700000000000,
+            0xbf35000000000000,
+            0x3f4a000000000000,
+        ]
+    );
+    assert_eq!(
+        p,
+        [
+            0xbf18000000000000,
+            0xbf71000000000000,
+            0xbf98240000000000,
+            0xbfc2b40000000000,
+            0xbf86180000000000,
+        ]
+    );
+    assert_eq!((updates, rejected), (8, 1_992));
+    let q16 = OpCounts {
+        add: 44_182,
+        sub: 4_094,
+        mul: 78_888,
+        div: 27,
+        neg: 10_174,
+        abs: 2_075,
+        sqrt: 4_000,
+        cmp: 6_120,
+        fma: 75_662,
+        trig: 6_003,
+        saturations: 0,
+    };
+    assert_eq!(counts, q16);
+    let (x, p, updates, rejected, counts) = fixed_point_trace::<24>();
+    assert_eq!(
+        x,
+        [
+            0x3fa1ce0a00000000,
+            0xbf9ade4800000000,
+            0x3facb12200000000,
+            0x3f60026000000000,
+            0x3f53b6c000000000,
+        ]
+    );
+    assert_eq!(
+        p,
+        [
+            0x3efb300000000000,
+            0x3efaa00000000000,
+            0xbf364f0000000000,
+            0x3f643c6000000000,
+            0x3f64640000000000,
+        ]
+    );
+    assert_eq!((updates, rejected), (447, 1_553));
+    let q24 = OpCounts {
+        add: 53_028,
+        sub: 9_372,
+        mul: 127_055,
+        div: 2_217,
+        neg: 19_411,
+        abs: 7_514,
+        sqrt: 4_000,
+        cmp: 16_364,
+        fma: 163_628,
+        trig: 6_012,
+        saturations: 1_365,
+    };
+    assert_eq!(counts, q24);
 }
 
 /// `|a - b|` within one ulp scaled to the operand magnitude.
@@ -585,8 +723,20 @@ fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), 
     let k = case.k.map(|row| row.map(|v| a.lift(v)));
     let r = a.lift([case.r; 4]);
     let mut dense = a.clone();
+    let mut split = a.clone();
 
     let (h, jac) = model::h_and_jacobian_generic(&mut a, &x, &f_b, case.estimate_bias);
+    // The model's two halves, as the filter runs them when it reuses a
+    // linearization: the angle-only factors, then the specific force
+    // and the biases.
+    let factors = model::factors(&mut split, &[x[0], x[1], x[2]]);
+    let (h_split, jac_split) = model::from_factors(
+        &mut split,
+        &factors,
+        &[x[3], x[4]],
+        &f_b,
+        case.estimate_bias,
+    );
     let (jp, s) = jp_and_s(&mut a, &jac, &p, r, case.estimate_bias);
     let joseph = joseph_structured(&mut a, &p, &k, &jac, r, case.estimate_bias);
 
@@ -610,6 +760,23 @@ fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), 
             name,
             row
         );
+        prop_assert_eq!(
+            split.bits(h_split[row]),
+            a.bits(h[row]),
+            "{} split h[{}]",
+            name,
+            row
+        );
+        for col in 0..5 {
+            prop_assert_eq!(
+                split.bits(jac_split[row][col]),
+                a.bits(jac[row][col]),
+                "{} split J[{}][{}]",
+                name,
+                row,
+                col
+            );
+        }
         for col in 0..5 {
             prop_assert_eq!(
                 a.bits(jac[row][col]),
@@ -652,6 +819,16 @@ fn check_structured_kernels<A: ExactSubstrate>(case: &KernelCase) -> Result<(), 
         }
     }
     prop_assert_eq!(a.saturations(), dense.saturations(), "{} saturations", name);
+    // The same downstream kernels on the split model's output saturate
+    // exactly as often.
+    let _ = jp_and_s(&mut split, &jac_split, &p, r, case.estimate_bias);
+    let _ = joseph_structured(&mut split, &p, &k, &jac_split, r, case.estimate_bias);
+    prop_assert_eq!(
+        split.saturations(),
+        a.saturations(),
+        "{} split saturations",
+        name
+    );
     Ok(())
 }
 
@@ -794,6 +971,65 @@ fn structured_kernel_op_counts_are_pinned() {
     let float_row = (model_f64, jp_s_f64, joseph_f64, kalman_f64);
     assert_eq!(kernel_ops::<F64Arith>(true), float_row);
     assert_eq!(kernel_ops::<SoftArith>(true), float_row);
+}
+
+/// The op cost of the model's angle-only half ([`model::factors`]) and
+/// of its specific-force half ([`model::from_factors`]) on `A`.
+fn model_half_ops<A: Arith + Default>() -> (OpCounts, OpCounts) {
+    let mut a = A::default();
+    let angles = [0.03, -0.02, 0.05].map(|v| a.num(v));
+    let bias = [0.01, -0.02].map(|v| a.num(v));
+    let f_b = [0.8, -0.4, STANDARD_GRAVITY].map(|v| a.num(v));
+    let factors = model::factors(&mut a, &angles);
+    let factor_ops = a.counts();
+    let _ = model::from_factors(&mut a, &factors, &bias, &f_b, true);
+    (factor_ops, a.counts().since(&factor_ops))
+}
+
+/// The model's two halves split its op cost with nothing added: the
+/// three `sin_cos` and all angle-only products in one, the `f_b` dot
+/// products and bias adds in the other, and together exactly the
+/// pinned model row.
+#[test]
+fn model_halves_split_the_kernel_op_counts() {
+    let factors_q = OpCounts {
+        trig: 3,
+        neg: 5,
+        mul: 18,
+        fma: 5,
+        ..OpCounts::default()
+    };
+    let from_factors_q = OpCounts {
+        mul: 7,
+        fma: 12,
+        add: 2,
+        ..OpCounts::default()
+    };
+    assert_eq!(model_half_ops::<QArith<16>>(), (factors_q, from_factors_q));
+    let factors_f64 = OpCounts {
+        trig: 3,
+        neg: 5,
+        mul: 23,
+        add: 5,
+        ..OpCounts::default()
+    };
+    let from_factors_f64 = OpCounts {
+        mul: 19,
+        add: 14,
+        ..OpCounts::default()
+    };
+    assert_eq!(
+        model_half_ops::<F64Arith>(),
+        (factors_f64, from_factors_f64)
+    );
+    assert_eq!(
+        model_half_ops::<SoftArith>(),
+        (factors_f64, from_factors_f64)
+    );
+    let (model_q, ..) = kernel_ops::<QArith<16>>(true);
+    let mut sum = factors_q;
+    sum.accumulate(&from_factors_q);
+    assert_eq!(sum, model_q);
 }
 
 /// The Kalman kernel computes `P - K (J P)` on and above the diagonal
